@@ -394,63 +394,67 @@ measureServe(std::uint64_t insts, std::uint64_t seed)
     cfg.cache_dir = (root / "cache").string();
     cfg.socket_path = (root / "lsim.sock").string();
     cfg.stop = [&stop_pump] { return stop_pump.load(); };
-    serve::Daemon daemon(cfg);
-
-    std::ostringstream spec;
-    spec << "{\"sweeps\": [{\"benchmarks\": [\"gcc\"], \"steps\": "
-         << kPoints << ", \"insts\": " << insts
-         << ", \"seed\": " << seed << "}]}";
-    std::size_t n = 0;
-    const auto drop = [&] {
-        std::ofstream out(fs::path(cfg.spool_dir) /
-                          ("req" + std::to_string(n++) + ".json"));
-        out << spec.str();
-    };
-
     ServeResult result;
     result.points = kPoints;
+    // The daemon goes first: its store flushes the index on
+    // destruction, so it must not outlive its directory.
     {
-        const auto start = std::chrono::steady_clock::now();
-        drop();
-        daemon.drainOnce();
-        result.cold_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+        serve::Daemon daemon(cfg);
+
+        std::ostringstream spec;
+        spec << "{\"sweeps\": [{\"benchmarks\": [\"gcc\"], \"steps\": "
+             << kPoints << ", \"insts\": " << insts
+             << ", \"seed\": " << seed << "}]}";
+        std::size_t n = 0;
+        const auto drop = [&] {
+            std::ofstream out(fs::path(cfg.spool_dir) /
+                              ("req" + std::to_string(n++) + ".json"));
+            out << spec.str();
+        };
+
+        {
+            const auto start = std::chrono::steady_clock::now();
+            drop();
+            daemon.drainOnce();
+            result.cold_ms =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+        }
+        result.warm_ms = timeMs([&] {
+            drop();
+            daemon.drainOnce();
+        });
+
+        // Socket front door: the same warm request as a submit-and-wait
+        // round trip over AF_UNIX, with the daemon loop pumping the
+        // queue. Distinct names keep the requests from coalescing, so
+        // each round trip is a real execution. One untimed round trip
+        // first so thread spin-up is not on the clock.
+        std::thread pump([&daemon] { daemon.run(); });
+        const std::string spec_text = spec.str();
+        const auto round_trip = [&](const std::string &name) {
+            const auto res = serve::socketSubmit(
+                daemon.socketPath(), name, spec_text, 0,
+                /*wait=*/true, /*timeout_s=*/120.0);
+            if (!res.ok)
+                fatal("serve bench: socket submit failed: %s",
+                      res.error.c_str());
+        };
+        round_trip("sock_warmup");
+        constexpr int kSocketReps = 4;
+        result.socket_warm_ms = timeMs([&] {
+            for (int i = 0; i < kSocketReps; ++i)
+                round_trip("sock_warm" + std::to_string(i));
+        }) / kSocketReps;
+        stop_pump.store(true);
+        pump.join();
+
+        if (daemon.stats().failed != 0 ||
+            daemon.stats().done != daemon.stats().processed)
+            fatal("serve bench: %zu of %zu request(s) failed",
+                  daemon.stats().failed, daemon.stats().processed);
     }
-    result.warm_ms = timeMs([&] {
-        drop();
-        daemon.drainOnce();
-    });
-
-    // Socket front door: the same warm request as a submit-and-wait
-    // round trip over AF_UNIX, with the daemon loop pumping the
-    // queue. Distinct names keep the requests from coalescing, so
-    // each round trip is a real execution. One untimed round trip
-    // first so thread spin-up is not on the clock.
-    std::thread pump([&daemon] { daemon.run(); });
-    const std::string spec_text = spec.str();
-    const auto round_trip = [&](const std::string &name) {
-        const auto res = serve::socketSubmit(
-            daemon.socketPath(), name, spec_text, 0,
-            /*wait=*/true, /*timeout_s=*/120.0);
-        if (!res.ok)
-            fatal("serve bench: socket submit failed: %s",
-                  res.error.c_str());
-    };
-    round_trip("sock_warmup");
-    constexpr int kSocketReps = 4;
-    result.socket_warm_ms = timeMs([&] {
-        for (int i = 0; i < kSocketReps; ++i)
-            round_trip("sock_warm" + std::to_string(i));
-    }) / kSocketReps;
-    stop_pump.store(true);
-    pump.join();
-
-    if (daemon.stats().failed != 0 ||
-        daemon.stats().done != daemon.stats().processed)
-        fatal("serve bench: %zu of %zu request(s) failed",
-              daemon.stats().failed, daemon.stats().processed);
     fs::remove_all(root);
     return result;
 }

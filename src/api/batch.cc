@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "api/parallel.hh"
 #include "obs/metrics.hh"
@@ -73,6 +74,13 @@ BatchRunner::run() const
 BatchResult
 BatchRunner::run(const BatchEnv &env) const
 {
+    return detail::runSweeps(runners_, config_.threads, env);
+}
+
+BatchResult
+detail::runSweeps(std::span<const SweepRunner> runners,
+                  unsigned threads, const BatchEnv &env)
+{
     // Cooperative cancellation: checked between phases here and at
     // task boundaries inside them, so a cancelled run abandons its
     // remaining work quickly but never tears a task in half.
@@ -86,13 +94,13 @@ BatchRunner::run(const BatchEnv &env) const
     };
 
     BatchResult result;
-    result.sweeps.resize(runners_.size());
+    result.sweeps.resize(runners.size());
     throwIfCancelled("before phase 1");
 
     // Collect the distinct phase-1 tasks across every request.
     // fingerprint() covers exactly the simulation-determining state,
     // so it is the dedup identity as well as the store key.
-    std::vector<detail::SimTask> unique;
+    std::vector<SimTask> unique;
     std::vector<std::string> unique_keys;
     // Per task, the distinct cache dirs of the sweeps that want it
     // (the batch-level override was already folded in by the
@@ -101,10 +109,10 @@ BatchRunner::run(const BatchEnv &env) const
     std::map<std::string, std::size_t> index_of;
     // refs[s][w]: index into `unique`, or npos for imported sims.
     constexpr std::size_t npos = ~std::size_t{0};
-    std::vector<std::vector<std::size_t>> refs(runners_.size());
+    std::vector<std::vector<std::size_t>> refs(runners.size());
 
-    for (std::size_t s = 0; s < runners_.size(); ++s) {
-        const SweepRunner &runner = runners_[s];
+    for (std::size_t s = 0; s < runners.size(); ++s) {
+        const SweepRunner &runner = runners[s];
         const std::size_t num_workloads =
             runner.config().workloads.size();
         refs[s].resize(num_workloads, npos);
@@ -151,6 +159,10 @@ BatchRunner::run(const BatchEnv &env) const
             stores.emplace(dir, owned_stores.back().get());
         }
 
+    std::optional<ThreadPool> scoped_pool;
+    ThreadPool &pool =
+        env.pool ? *env.pool : scoped_pool.emplace(threads);
+
     // Phase 1 over the deduped union: try every store a task's
     // sweeps named, and on a miss simulate once and install the
     // result into all of them.
@@ -159,8 +171,7 @@ BatchRunner::run(const BatchEnv &env) const
     {
         obs::TraceSpan span("batch.phase1_sim", "batch");
         obs::ScopedTimerMs timer(obs::histogram("batch.sim_ms"));
-        detail::runOn(env.pool, unique.size(), config_.threads,
-                      [&](std::size_t i) {
+        pool.run(unique.size(), [&](std::size_t i) {
             if (cancelled())
                 return; // task boundary: abandon, don't tear
             for (const auto &dir : task_dirs[i]) {
@@ -192,8 +203,8 @@ BatchRunner::run(const BatchEnv &env) const
     obs::counter("batch.store_misses").add(result.stats.sims_run);
 
     // Assemble each request's result skeleton from the shared sims.
-    for (std::size_t s = 0; s < runners_.size(); ++s) {
-        const SweepConfig &cfg = runners_[s].config();
+    for (std::size_t s = 0; s < runners.size(); ++s) {
+        const SweepConfig &cfg = runners[s].config();
         SweepResult &out = result.sweeps[s];
         out.workloads = cfg.workloads;
         out.technologies = cfg.technologies;
@@ -203,7 +214,7 @@ BatchRunner::run(const BatchEnv &env) const
                          cfg.technologies.size());
         for (std::size_t w = 0; w < cfg.workloads.size(); ++w) {
             if (refs[s][w] == npos) {
-                out.sims[w] = *runners_[s].importedSim(w);
+                out.sims[w] = *runners[s].importedSim(w);
                 ++out.stats.imported;
             } else {
                 out.sims[w] = sims[refs[s][w]];
@@ -215,15 +226,14 @@ BatchRunner::run(const BatchEnv &env) const
     // grid into one task list — multi-point engine jobs per
     // (workload, chunk), scalar cells for flagged sweeps — so a
     // small sweep's cells never wait on a big sweep's phase.
-    detail::ReplayDriver driver;
+    ReplayDriver driver;
     for (std::size_t s = 0; s < result.sweeps.size(); ++s)
-        driver.add(result.sweeps[s], runners_[s].config());
+        driver.add(result.sweeps[s], runners[s].config());
     {
         obs::TraceSpan span("batch.phase2_replay", "batch");
         obs::ScopedTimerMs timer(
             obs::histogram("batch.replay_ms"));
-        driver.run(config_.threads, env.pool,
-                   env.cancel ? &env.cancel : nullptr);
+        driver.run(pool, env.cancel ? &env.cancel : nullptr);
     }
     return result;
 }

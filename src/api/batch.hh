@@ -9,8 +9,9 @@
  * phase-1 tasks across all requests (consulting the profile store
  * first when a cache directory is set), fans the union across one
  * thread pool, then fans every request's replay grid across the same
- * pool. Each returned SweepResult is byte-identical — CSV and JSON —
- * to running its SweepConfig alone.
+ * pool. SweepRunner::run is the same executor over one sweep, so
+ * each returned SweepResult is byte-identical — CSV and JSON — to
+ * running its SweepConfig alone.
  *
  * @code
  *   api::BatchConfig batch;
@@ -27,6 +28,7 @@
 #define LSIM_API_BATCH_HH
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +60,9 @@ struct BatchConfig
     std::string cache_dir;
 
     /**
-     * Worker threads for both phases; 0 = hardware concurrency.
-     * Per-sweep `threads` values are ignored — the batch owns the
-     * pool.
+     * Concurrent executors for both phases, the calling thread
+     * included; 0 = hardware concurrency. Per-sweep `threads` values
+     * are ignored — the batch owns the pool.
      */
     unsigned threads = 0;
 };
@@ -101,7 +103,8 @@ struct BatchEnv
      * (other dirs still get per-run instances). */
     store::ProfileStore *store = nullptr;
 
-    /** Runs both phases when set; config threads are ignored. */
+    /** Runs both phases when set; config threads are ignored.
+     * Null = a pool of config threads scoped to the run. */
     detail::ThreadPool *pool = nullptr;
 
     /**
@@ -128,6 +131,22 @@ struct BatchEnv
  * to one execution (phase-1 dedup lifted to the request tier).
  */
 std::string batchFingerprint(const BatchConfig &config);
+
+namespace detail
+{
+
+/**
+ * The one sweep executor behind BatchRunner::run and
+ * SweepRunner::run. Phase 1 simulates the distinct tasks of all
+ * @p runners once each — loading from, and saving to, the profile
+ * store of every sweep that names a cache dir — and phase 2 replays
+ * every sweep's grid. Both phases run on env.pool, or on a pool of
+ * @p threads executors scoped to the call when that is null.
+ */
+BatchResult runSweeps(std::span<const SweepRunner> runners,
+                      unsigned threads, const BatchEnv &env);
+
+} // namespace detail
 
 /** Executes BatchConfigs; stateless apart from the config. */
 class BatchRunner

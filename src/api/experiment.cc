@@ -75,10 +75,21 @@ RunResult::policy(const std::string &name) const
 void
 RunResult::writeJson(std::ostream &os) const
 {
-    // The legacy report writers are the single source of truth for
-    // the JSON schema; composing them keeps the facade output
-    // bit-identical to the deprecated writeExperimentJson() path.
-    harness::writeExperimentJson(os, sim, technology, policies);
+    // The harness report writers are the single source of truth for
+    // the simulation and policy schemas.
+    JsonWriter w(os);
+    w.beginObject();
+    w.beginObject("technology");
+    w.field("p", technology.p);
+    w.field("k", technology.k);
+    w.field("s", technology.s);
+    w.field("alpha", technology.alpha);
+    w.field("duty", technology.duty);
+    w.endObject();
+    harness::writeSimJson(w, sim);
+    harness::writePoliciesJson(w, policies);
+    w.endObject();
+    os << "\n";
 }
 
 void

@@ -95,8 +95,7 @@ struct RunResult
 
     /**
      * Serialize as one JSON object: {technology, simulation,
-     * policies}. Field-for-field identical to the legacy
-     * harness::writeExperimentJson() record.
+     * policies}, newline-terminated.
      */
     void writeJson(std::ostream &os) const;
 
@@ -249,9 +248,8 @@ struct Experiment
 
 /**
  * Evaluate a stored idle profile at @p params under registry-named
- * policies — the facade-level replacement for
- * harness::evaluatePolicies + sleep::makePaperControllers. An empty
- * @p policy_keys means the paper's four policies.
+ * policies, over harness::evaluatePolicies. An empty @p policy_keys
+ * means the paper's four policies.
  *
  * This is the *scalar* reference path: one walk over the interval
  * multiset per call. Session and SweepRunner route their replays

@@ -1,12 +1,13 @@
 /**
  * @file
- * The facade's shared thread-pool primitives, used by SweepRunner and
- * BatchRunner for both simulation and replay fan-out.
+ * The facade's one thread primitive: a ThreadPool that SweepRunner,
+ * BatchRunner and the serve daemon run both sweep phases on.
  *
- * Two forms: parallelFor() spawns a fresh pool per call (fine for a
- * one-shot CLI sweep), and ThreadPool keeps its workers alive across
- * calls — the serve daemon runs every request through one persistent
- * pool so warm requests pay no thread-spawn latency.
+ * `threads` means the same thing everywhere: the number of
+ * concurrent executors, the calling thread included, with 0 =
+ * hardware concurrency. A one-shot run scopes a pool to the call;
+ * the serve daemon keeps one alive so warm requests pay no
+ * thread-spawn latency. parallelFor() is a call-scoped pool.
  */
 
 #ifndef LSIM_API_PARALLEL_HH
@@ -29,46 +30,22 @@
 namespace lsim::api::detail
 {
 
-/**
- * Run tasks 0..count-1 on a pool of @p threads workers (0 = hardware
- * concurrency). Each worker pulls the next index from a shared
- * atomic counter; tasks write only their own index-addressed output
- * slot, so scheduling cannot affect results.
- */
-template <typename Fn>
-void
-parallelFor(std::size_t count, unsigned threads, Fn &&fn)
+/** Executor count for @p threads: itself, or hardware when 0. */
+inline unsigned
+resolveThreads(unsigned threads)
 {
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, count));
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-            for (std::size_t i = next.fetch_add(1); i < count;
-                 i = next.fetch_add(1))
-                fn(i);
-        });
-    }
-    for (auto &worker : pool)
-        worker.join();
+    return threads != 0
+        ? threads
+        : std::max(1u, std::thread::hardware_concurrency());
 }
 
 /**
- * A persistent worker pool with the same execution contract as
- * parallelFor(): run(count, fn) executes fn(0..count-1), each index
+ * A worker pool: run(count, fn) executes fn(0..count-1), each index
  * exactly once, with the calling thread participating, and returns
- * when every index has completed. Workers sleep between runs, so a
- * long-lived owner (the serve daemon) pays thread creation once, not
- * per request.
+ * when every index has completed. Tasks write only their own
+ * index-addressed output slot, so scheduling cannot affect results.
+ * Workers sleep between runs, so a long-lived owner (the serve
+ * daemon) pays thread creation once, not per request.
  *
  * Not reentrant: a task must not call run() on its own pool.
  *
@@ -101,14 +78,16 @@ parallelFor(std::size_t count, unsigned threads, Fn &&fn)
 class ThreadPool
 {
   public:
-    /** @param threads worker count; 0 = hardware concurrency. */
+    /**
+     * @param threads concurrent executors, the calling thread
+     * included (0 = hardware concurrency): spawns threads - 1
+     * workers, so ThreadPool(1) runs every task inline.
+     */
     explicit ThreadPool(unsigned threads = 0)
     {
-        if (threads == 0)
-            threads =
-                std::max(1u, std::thread::hardware_concurrency());
-        workers_.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
+        const unsigned workers = resolveThreads(threads) - 1;
+        workers_.reserve(workers);
+        for (unsigned t = 0; t < workers; ++t)
             workers_.emplace_back([this] { workerLoop(); });
     }
 
@@ -125,11 +104,6 @@ class ThreadPool
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned size() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
 
     /** Run fn(0..count-1) across the workers; blocks until done. */
     void run(std::size_t count, std::function<void(std::size_t)> fn)
@@ -227,18 +201,16 @@ class ThreadPool
 };
 
 /**
- * Dispatch helper for code that optionally receives a persistent
- * pool: run on @p pool when given, else parallelFor(@p threads).
+ * Run fn(0..count-1) on a pool scoped to this call, with at most
+ * @p threads executors (0 = hardware) and never more than @p count.
  */
 template <typename Fn>
 void
-runOn(ThreadPool *pool, std::size_t count, unsigned threads, Fn &&fn)
+parallelFor(std::size_t count, unsigned threads, Fn &&fn)
 {
-    if (pool)
-        pool->run(count, std::function<void(std::size_t)>(
-                             std::forward<Fn>(fn)));
-    else
-        parallelFor(count, threads, std::forward<Fn>(fn));
+    ThreadPool pool(static_cast<unsigned>(std::clamp<std::size_t>(
+        count, 1, resolveThreads(threads))));
+    pool.run(count, std::forward<Fn>(fn));
 }
 
 } // namespace lsim::api::detail

@@ -11,8 +11,9 @@
  *  2. replay each profile at every technology point (cheap,
  *     O(distinct interval lengths) per policy).
  *
- * SweepRunner fans both phases across a std::thread pool. Results
- * are written into index-addressed slots, so the outcome is
+ * SweepRunner runs both phases on the same executor as BatchRunner
+ * (detail::runSweeps), fanned across one ThreadPool. Results are
+ * written into index-addressed slots, so the outcome is
  * bit-identical regardless of thread count or scheduling — a
  * 4-thread sweep matches the single-threaded reference exactly.
  */
@@ -98,7 +99,10 @@ struct SweepConfig
     /** Base machine configuration. */
     cpu::CoreConfig base;
 
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
+    /**
+     * Concurrent executors for both phases, the calling thread
+     * included; 0 = std::thread::hardware_concurrency().
+     */
     unsigned threads = 0;
 
     /**
@@ -245,14 +249,13 @@ class ReplayDriver
      * settings. The result's sims must already be populated. */
     void add(SweepResult &result, const SweepConfig &config);
 
-    /** Execute all registered phase-2 work; call once. A non-null
-     * @p pool runs the fan-out on that persistent pool instead of
-     * spawning @p threads workers. A non-null @p cancel is polled
-     * at every task boundary: pending tasks become no-ops once it
-     * returns true and run() throws CancelledError after the
-     * in-flight tasks drain — cells may then be partially filled,
-     * so the caller must discard the results. */
-    void run(unsigned threads, ThreadPool *pool = nullptr,
+    /** Execute all registered phase-2 work on @p pool; call once.
+     * A non-null @p cancel is polled at every task boundary:
+     * pending tasks become no-ops once it returns true and run()
+     * throws CancelledError after the in-flight tasks drain — cells
+     * may then be partially filled, so the caller must discard the
+     * results. */
+    void run(ThreadPool &pool,
              const std::function<bool()> *cancel = nullptr);
 
   private:
@@ -276,7 +279,11 @@ class SweepRunner
      */
     explicit SweepRunner(SweepConfig config);
 
-    /** Run both phases; deterministic for any thread count. */
+    /**
+     * Run both phases; deterministic for any thread count. A
+     * workload listed twice is simulated once and fills identical
+     * cells in both rows.
+     */
     SweepResult run() const;
 
     /** The normalized config: defaults filled, names validated. */

@@ -131,12 +131,4 @@ evaluatePolicies(const IdleProfile &idle,
     return eval.results();
 }
 
-std::vector<sleep::PolicyResult>
-evaluatePaperPolicies(const IdleProfile &idle,
-                      const energy::ModelParams &params)
-{
-    return evaluatePolicies(idle, params,
-                            sleep::makePaperControllers(params));
-}
-
 } // namespace lsim::harness

@@ -14,8 +14,7 @@
  * NOTE: new code should prefer the api:: facade (api/experiment.hh,
  * api/sweep.hh), which wraps these functions behind a builder,
  * string-keyed policies and a parallel sweep runner. The free
- * functions below remain as the facade's engine and as deprecated
- * shims for existing callers.
+ * functions below are the facade's engine.
  */
 
 #ifndef LSIM_HARNESS_EXPERIMENT_HH
@@ -118,26 +117,14 @@ FuSelection selectFuCount(const trace::WorkloadProfile &profile,
 /**
  * Evaluate a controller set against a stored IdleProfile at
  * technology point @p params; results are normalized per the
- * evaluator's E_base convention (Figure 8/9 axes).
- *
- * @deprecated Prefer api::evaluateProfile (registry-named policies)
- * or api::Session::evaluate; this remains as their engine.
+ * evaluator's E_base convention (Figure 8/9 axes). This is the
+ * scalar reference engine behind api::evaluateProfile, which names
+ * the policies through the registry.
  */
 std::vector<sleep::PolicyResult>
 evaluatePolicies(const IdleProfile &idle,
                  const energy::ModelParams &params,
                  sleep::ControllerSet controllers);
-
-/**
- * Convenience: evaluate the paper's four policies.
- *
- * @deprecated Thin shim over evaluatePolicies +
- * sleep::makePaperControllers; prefer api::Session::evaluate, which
- * defaults to the same four policies.
- */
-std::vector<sleep::PolicyResult>
-evaluatePaperPolicies(const IdleProfile &idle,
-                      const energy::ModelParams &params);
 
 } // namespace lsim::harness
 

@@ -5,16 +5,13 @@
  * trackers) can consume bench output without parsing tables.
  *
  * These writers define the JSON schema; api::RunResult::writeJson
- * composes them, so the facade's output is bit-identical to the
- * legacy writeExperimentJson() record. New code should serialize
- * through api::RunResult / api::SweepResult instead of calling
- * these directly.
+ * and api::SweepResult::writeJson compose them. New code should
+ * serialize through those instead of calling these directly.
  */
 
 #ifndef LSIM_HARNESS_REPORT_HH
 #define LSIM_HARNESS_REPORT_HH
 
-#include <ostream>
 #include <vector>
 
 #include "common/json.hh"
@@ -29,17 +26,6 @@ void writeSimJson(JsonWriter &w, const WorkloadSim &sim);
 /** Write a policy evaluation result set as a JSON array. */
 void writePoliciesJson(JsonWriter &w,
                        const std::vector<sleep::PolicyResult> &results);
-
-/**
- * Write a complete experiment record: the simulation plus policy
- * results at the given technology point, as one JSON object on
- * @p os.
- *
- * @deprecated Prefer api::RunResult::writeJson (identical output).
- */
-void writeExperimentJson(std::ostream &os, const WorkloadSim &sim,
-                         const energy::ModelParams &params,
-                         const std::vector<sleep::PolicyResult> &res);
 
 } // namespace lsim::harness
 

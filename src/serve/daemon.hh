@@ -97,7 +97,10 @@ struct ServeConfig
     /** Request socket path; empty = no socket listener. */
     std::string socket_path;
 
-    /** Worker threads of the persistent pool; 0 = hardware. */
+    /**
+     * Concurrent executors of the persistent pool, the draining
+     * thread included; 0 = hardware.
+     */
     unsigned threads = 0;
 
     /** Delay between spool scans, milliseconds. */

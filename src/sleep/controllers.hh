@@ -405,26 +405,6 @@ class AdaptiveController : public SleepController
 /** Owning collection of one controller per policy under study. */
 using ControllerSet = std::vector<std::unique_ptr<SleepController>>;
 
-/**
- * Build the paper's four policies (MaxSleep, GradualSleep,
- * AlwaysActive, NoOverhead) configured for @p params: GradualSleep
- * slice count = round(breakeven interval).
- *
- * @deprecated Thin shim over
- * PolicyRegistry::makeSet(PolicyRegistry::paperSpecs(), params);
- * prefer naming policies through the registry.
- */
-ControllerSet makePaperControllers(const energy::ModelParams &params);
-
-/**
- * Build the extension set (Timeout at breakeven, Oracle, Adaptive)
- * for the complex-control ablation.
- *
- * @deprecated Thin shim over
- * PolicyRegistry::makeSet(PolicyRegistry::extensionSpecs(), params).
- */
-ControllerSet makeExtensionControllers(const energy::ModelParams &params);
-
 } // namespace lsim::sleep
 
 #endif // LSIM_SLEEP_CONTROLLERS_HH

@@ -176,6 +176,19 @@ StoreIndex::erase(const std::string &key)
 bool
 StoreIndex::save()
 {
+    // A directory removed under a live store can take no flush:
+    // the lock file can never be created, so backing off on it
+    // only delays the inevitable failed write. Say so once.
+    std::error_code ec;
+    if (!fs::is_directory(dir_, ec)) {
+        static std::atomic<bool> logged{false};
+        if (!logged.exchange(true))
+            warn("profile store: directory '%s' is gone; dropping "
+                 "its index flush (logged once per process)",
+                 dir_.c_str());
+        return false;
+    }
+
     // Serialize flushes across every process (and instance) sharing
     // the directory; within the lock the cycle is read-merge-write,
     // so no writer ever overwrites another's updates.

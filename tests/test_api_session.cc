@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the api:: experiment facade: builder defaults,
- * facade/shim equivalence, and SweepRunner determinism across
- * thread counts.
+ * equivalence with the scalar harness::evaluatePolicies reference,
+ * and SweepRunner determinism across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,7 @@
 
 #include "api/experiment.hh"
 #include "api/sweep.hh"
-#include "harness/benchmarks.hh"
-#include "harness/report.hh"
+#include "harness/experiment.hh"
 #include "sleep/policy_registry.hh"
 #include "trace/profile.hh"
 
@@ -35,6 +34,18 @@ params(double p = 0.05, double alpha = 0.5)
 }
 
 constexpr std::uint64_t kInsts = 30000;
+
+/** The paper's four policies on the scalar reference engine. */
+std::vector<lsim::sleep::PolicyResult>
+paperReference(const lsim::harness::IdleProfile &idle,
+               const ModelParams &mp)
+{
+    using lsim::sleep::PolicyRegistry;
+    return lsim::harness::evaluatePolicies(
+        idle, mp,
+        PolicyRegistry::instance().makeSet(PolicyRegistry::paperSpecs(),
+                                           mp));
+}
 
 void
 expectSameResults(const std::vector<lsim::sleep::PolicyResult> &a,
@@ -86,25 +97,10 @@ TEST(ExperimentBuilder, MatchesTheLegacyFreeFunctionPath)
     const auto &profile = lsim::trace::profileByName("mcf");
     const auto ws = lsim::harness::simulateWorkload(
         profile, profile.paper_fus, kInsts);
-    const auto legacy =
-        lsim::harness::evaluatePaperPolicies(ws.idle, params(0.3));
+    const auto legacy = paperReference(ws.idle, params(0.3));
     EXPECT_EQ(facade.sim.sim.cycles, ws.sim.cycles);
     EXPECT_EQ(facade.sim.sim.ipc, ws.sim.ipc);
     expectSameResults(facade.policies, legacy);
-}
-
-TEST(ExperimentBuilder, JsonIsBitIdenticalToTheShimWriter)
-{
-    const auto result = Experiment::builder()
-                            .workload("gzip")
-                            .insts(kInsts)
-                            .technology(0.05)
-                            .run();
-    std::ostringstream shim;
-    lsim::harness::writeExperimentJson(shim, result.sim,
-                                       result.technology,
-                                       result.policies);
-    EXPECT_EQ(result.toJson(), shim.str());
 }
 
 TEST(ExperimentBuilder, AutoSelectDerivesTheFuCount)
@@ -144,13 +140,11 @@ TEST(Session, EvaluateReplaysWithoutResimulating)
     const auto at_high = session.evaluate(0.5);
     // Same simulation object underneath...
     EXPECT_EQ(at_low.sim.sim.cycles, at_high.sim.sim.cycles);
-    // ...and each evaluation matches the legacy replay path.
+    // ...and each evaluation matches the scalar reference path.
     expectSameResults(at_low.policies,
-                      lsim::harness::evaluatePaperPolicies(
-                          session.sim().idle, params(0.05)));
+                      paperReference(session.sim().idle, params(0.05)));
     expectSameResults(at_high.policies,
-                      lsim::harness::evaluatePaperPolicies(
-                          session.sim().idle, params(0.5)));
+                      paperReference(session.sim().idle, params(0.5)));
 }
 
 TEST(RunResult, PolicyLookupAndCsv)
@@ -248,7 +242,7 @@ TEST(SweepRunner, CellsMatchSessionEvaluations)
             session.evaluate(cfg.technologies[t]).policies);
 }
 
-TEST(SweepRunner, AveragesMatchTheLegacySuitePath)
+TEST(SweepRunner, AveragesMatchTheReferenceSuitePath)
 {
     SweepConfig cfg;
     cfg.workloads = {"gcc", "mcf"};
@@ -256,22 +250,35 @@ TEST(SweepRunner, AveragesMatchTheLegacySuitePath)
     cfg.insts = kInsts;
     const auto sweep = SweepRunner(cfg).run();
 
-    lsim::harness::SuiteRun suite;
+    // Reference: the Figure 9 averaging rule spelled out over
+    // independent simulations and the scalar engine.
+    std::vector<lsim::harness::WorkloadSim> sims;
     for (const auto &name : cfg.workloads) {
         const auto &profile = lsim::trace::profileByName(name);
-        suite.sims.push_back(lsim::harness::simulateWorkload(
+        sims.push_back(lsim::harness::simulateWorkload(
             profile, profile.paper_fus, kInsts));
     }
     for (std::size_t t = 0; t < cfg.technologies.size(); ++t) {
         const auto avg = sweep.averagesAt(t);
-        const auto legacy = lsim::harness::averagePolicies(
-            suite, cfg.technologies[t]);
-        ASSERT_EQ(avg.names, legacy.names);
+        std::vector<double> rel(4, 0.0), leak(4, 0.0);
+        for (const auto &ws : sims) {
+            const auto res = paperReference(ws.idle, cfg.technologies[t]);
+            ASSERT_EQ(res.size(), 4u);
+            ASSERT_EQ(res[3].name, "NoOverhead");
+            for (std::size_t i = 0; i < res.size(); ++i) {
+                rel[i] += res[i].energy / res[3].energy;
+                leak[i] += res[i].leakage_fraction;
+            }
+        }
+        ASSERT_EQ(avg.names,
+                  (std::vector<std::string>{"MaxSleep", "GradualSleep",
+                                            "AlwaysActive",
+                                            "NoOverhead"}));
         for (std::size_t i = 0; i < avg.names.size(); ++i) {
             EXPECT_EQ(avg.rel_to_nooverhead[i],
-                      legacy.rel_to_nooverhead[i]);
+                      rel[i] / static_cast<double>(sims.size()));
             EXPECT_EQ(avg.leakage_fraction[i],
-                      legacy.leakage_fraction[i]);
+                      leak[i] / static_cast<double>(sims.size()));
         }
     }
 }

@@ -2,11 +2,12 @@
  * @file
  * Concurrency stress tests, written to run under ThreadSanitizer
  * (the CI TSan lane builds with -DLSIM_SANITIZE=thread and runs this
- * binary): many submitter threads hammering one ThreadPool, two
- * serve::Daemon instances draining one spool, and concurrent
- * save/load traffic on one ProfileStore. The assertions check the
- * exactly-once execution contracts; TSan checks the synchronization
- * that backs them.
+ * binary): the ThreadPool execution contract, many submitter
+ * threads hammering one ThreadPool, concurrent one-shot batches on
+ * one cache dir, two serve::Daemon instances draining one spool,
+ * and concurrent save/load traffic on one ProfileStore. The
+ * assertions check the exactly-once execution contracts; TSan
+ * checks the synchronization that backs them.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/batch.hh"
 #include "api/experiment.hh"
 #include "api/parallel.hh"
 #include "common/fault.hh"
@@ -109,6 +111,93 @@ TEST(ThreadPoolStress, IdlePoolShutdown)
 {
     for (int i = 0; i < 16; ++i)
         api::detail::ThreadPool pool(3);
+}
+
+/** Threads of this process, or 0 where /proc is unavailable. */
+std::size_t
+processThreads()
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (fs::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return ec ? 0 : n;
+}
+
+/** ThreadPool(1) is a pool of one executor: the caller, alone. */
+TEST(ThreadPoolContract, OneExecutorRunsInlineWithoutWorkers)
+{
+    const std::size_t before = processThreads();
+    api::detail::ThreadPool pool(1);
+    if (before != 0)
+        EXPECT_EQ(processThreads(), before) << "a worker was spawned";
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(100);
+    pool.run(ran_on.size(),
+             [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (const auto &id : ran_on)
+        EXPECT_EQ(id, caller);
+}
+
+/** Every index runs exactly once for any executor and task count,
+ * through a persistent pool and through a call-scoped parallelFor. */
+TEST(ThreadPoolContract, EveryIndexRunsExactlyOnce)
+{
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        api::detail::ThreadPool pool(threads);
+        for (std::size_t count : {0u, 1u, 3u, 1000u}) {
+            std::vector<std::atomic<int>> via_pool(count);
+            std::vector<std::atomic<int>> via_for(count);
+            pool.run(count,
+                     [&](std::size_t i) { via_pool[i].fetch_add(1); });
+            api::detail::parallelFor(
+                count, threads,
+                [&](std::size_t i) { via_for[i].fetch_add(1); });
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(via_pool[i].load(), 1)
+                    << threads << " threads, " << count << " tasks";
+                EXPECT_EQ(via_for[i].load(), 1)
+                    << threads << " threads, " << count << " tasks";
+            }
+        }
+    }
+}
+
+/**
+ * Concurrent one-shot batches, each on its own run-scoped pool and
+ * ProfileStore instance, sharing one cache dir: every thread gets
+ * the same bytes whichever of them simulated or hit the store.
+ */
+TEST(BatchStress, OneShotBatchesOnOneCacheDirAgree)
+{
+    constexpr unsigned kThreads = 4;
+    const std::string cache = freshDir("one_shot_cache");
+    api::SweepConfig sweep;
+    sweep.workloads = {"gcc", "mcf"};
+    sweep.technologies = api::pSweep(0.05, 0.5, 3);
+    sweep.insts = 20000;
+    api::BatchConfig batch;
+    batch.sweeps = {sweep};
+    batch.cache_dir = cache;
+    batch.threads = 2;
+
+    std::vector<std::string> outputs(kThreads);
+    std::vector<std::thread> runners;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        runners.emplace_back([&, t] {
+            const auto result = api::BatchRunner(batch).run();
+            std::ostringstream ss;
+            result.sweeps[0].writeCsv(ss);
+            result.sweeps[0].writeJson(ss);
+            outputs[t] = ss.str();
+        });
+    }
+    for (auto &t : runners)
+        t.join();
+    ASSERT_FALSE(outputs[0].empty());
+    for (unsigned t = 1; t < kThreads; ++t)
+        EXPECT_EQ(outputs[t], outputs[0]) << "thread " << t;
 }
 
 constexpr const char *kSpec =

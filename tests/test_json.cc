@@ -1,14 +1,17 @@
 /**
  * @file
- * Unit tests for the JSON writer and the harness report emitters.
+ * Unit tests for the JSON writer, the parser, and the experiment
+ * record api::RunResult emits through the harness report writers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
+#include "api/experiment.hh"
 #include "common/json.hh"
-#include "harness/report.hh"
 
 namespace
 {
@@ -80,33 +83,32 @@ TEST(JsonDeath, UnbalancedEnd)
 
 TEST(JsonReport, ExperimentRecordIsWellFormedish)
 {
-    // Build a tiny experiment and check the emitted JSON contains
-    // the expected keys and balanced braces (no JSON parser
-    // dependency offline, so check structure textually).
+    // Build a tiny experiment and check the emitted record: its key
+    // layout textually, then its field values through the parser.
     lsim::harness::IdleProfile ip;
     ip.addRun(true, 100);
     ip.addRun(false, 20);
     lsim::energy::ModelParams mp;
-    const auto res = lsim::harness::evaluatePaperPolicies(ip, mp);
 
-    lsim::harness::WorkloadSim ws;
-    ws.name = "synthetic";
-    ws.num_fus = 1;
-    ws.idle = ip;
-    ws.sim.cycles = 120;
-    ws.sim.committed = 300;
-    ws.sim.ipc = 2.5;
-    ws.sim.fu_utilization = {0.8};
-
-    std::ostringstream os;
-    lsim::harness::writeExperimentJson(os, ws, mp, res);
-    const std::string out = os.str();
+    lsim::api::RunResult result;
+    result.sim.name = "synthetic";
+    result.sim.num_fus = 1;
+    result.sim.idle = ip;
+    result.sim.sim.cycles = 120;
+    result.sim.sim.committed = 300;
+    result.sim.sim.ipc = 2.5;
+    result.sim.sim.fu_utilization = {0.8};
+    result.technology = mp;
+    result.policies = lsim::api::evaluateProfile(ip, mp);
+    const std::string out = result.toJson();
 
     for (const char *key :
          {"\"technology\"", "\"simulation\"", "\"policies\"",
           "\"MaxSleep\"", "\"GradualSleep\"", "\"AlwaysActive\"",
           "\"NoOverhead\"", "\"idle_histogram\"", "\"breakdown\""})
         EXPECT_NE(out.find(key), std::string::npos) << key;
+    ASSERT_FALSE(out.empty());
+    EXPECT_EQ(out.back(), '\n');
 
     int depth = 0;
     bool in_string = false;
@@ -123,6 +125,41 @@ TEST(JsonReport, ExperimentRecordIsWellFormedish)
         prev = ch;
     }
     EXPECT_EQ(depth, 0);
+
+    // Numbers print with 12 significant digits.
+    const auto expectNum = [](const lsim::JsonValue &field,
+                              double want) {
+        EXPECT_NEAR(field.asNumber(), want,
+                    1e-11 * std::max(1.0, std::abs(want)));
+    };
+    const auto v = lsim::parseJson(out);
+    ASSERT_EQ(v.members().size(), 3u);
+    EXPECT_EQ(v.members()[0].first, "technology");
+    EXPECT_EQ(v.members()[1].first, "simulation");
+    EXPECT_EQ(v.members()[2].first, "policies");
+    const auto &tech = v.at("technology");
+    expectNum(tech.at("p"), mp.p);
+    expectNum(tech.at("k"), mp.k);
+    expectNum(tech.at("s"), mp.s);
+    expectNum(tech.at("alpha"), mp.alpha);
+    expectNum(tech.at("duty"), mp.duty);
+    const auto &sim = v.at("simulation");
+    EXPECT_EQ(sim.at("benchmark").asString(), "synthetic");
+    EXPECT_EQ(sim.at("num_fus").asU64(), 1u);
+    EXPECT_EQ(sim.at("cycles").asU64(), 120u);
+    EXPECT_EQ(sim.at("committed").asU64(), 300u);
+    expectNum(sim.at("ipc"), 2.5);
+    EXPECT_EQ(sim.at("num_idle_intervals").asU64(), 1u);
+    const auto &policies = v.at("policies").items();
+    ASSERT_EQ(policies.size(), result.policies.size());
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        const auto &r = result.policies[i];
+        EXPECT_EQ(policies[i].at("name").asString(), r.name);
+        expectNum(policies[i].at("energy"), r.energy);
+        expectNum(policies[i].at("counts").at("sleep"), r.counts.sleep);
+        expectNum(policies[i].at("breakdown").at("transition"),
+                  r.breakdown.transition);
+    }
 }
 
 // ------------------------------------------------------------ parser

@@ -21,8 +21,6 @@ using lsim::sleep::OracleController;
 using lsim::sleep::PolicyRegistry;
 using lsim::sleep::TimeoutController;
 using lsim::sleep::WeightedGradualSleepController;
-using lsim::sleep::makeExtensionControllers;
-using lsim::sleep::makePaperControllers;
 
 ModelParams
 params(double p = 0.05)
@@ -186,11 +184,12 @@ TEST(PolicyRegistry, MakeSetPreservesOrder)
     EXPECT_EQ(set[2]->name(), "AlwaysActive");
 }
 
-TEST(PolicyRegistry, LegacyFactoriesAreRegistryShims)
+TEST(PolicyRegistry, SpecListsBuildTheNamedSets)
 {
-    // makePaperControllers / makeExtensionControllers must agree
-    // with the registry's canonical spec lists.
-    const auto paper = makePaperControllers(params());
+    // makeSet over the canonical spec lists must build, in order,
+    // the same controllers as making each spec alone.
+    const auto paper = PolicyRegistry::instance().makeSet(
+        PolicyRegistry::paperSpecs(), params());
     const auto &specs = PolicyRegistry::paperSpecs();
     ASSERT_EQ(paper.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -203,7 +202,8 @@ TEST(PolicyRegistry, LegacyFactoriesAreRegistryShims)
     EXPECT_EQ(paper[2]->name(), "AlwaysActive");
     EXPECT_EQ(paper[3]->name(), "NoOverhead");
 
-    const auto ext = makeExtensionControllers(params());
+    const auto ext = PolicyRegistry::instance().makeSet(
+        PolicyRegistry::extensionSpecs(), params());
     ASSERT_EQ(ext.size(), PolicyRegistry::extensionSpecs().size());
     EXPECT_EQ(ext[1]->name(), "Oracle");
 }

@@ -19,6 +19,7 @@
 #include "api/batch.hh"
 #include "api/experiment.hh"
 #include "api/sweep.hh"
+#include "obs/metrics.hh"
 #include "store/profile_store.hh"
 #include "store/serialize.hh"
 #include "trace/profile.hh"
@@ -183,6 +184,24 @@ TEST(ProfileStore, SaveLoadRoundTrip)
     const auto entries = db.list();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].key, "gcc-test");
+}
+
+TEST(ProfileStore, FlushIntoAVanishedDirectoryFailsFast)
+{
+    // A store destroyed after its directory was removed must give
+    // up its index flush at once: no lock retries, no timeout.
+    const std::string dir = freshDir("vanished");
+    const auto retries = obs::counter("store.retries").value();
+    const auto timeouts = obs::counter("store.lock_timeouts").value();
+    {
+        const ProfileStore db(dir);
+        db.save("gcc-test", simulateSmall("gcc"));
+        ASSERT_TRUE(db.load("gcc-test").has_value()); // dirties the index
+        fs::remove_all(dir);
+    }
+    EXPECT_EQ(obs::counter("store.retries").value(), retries);
+    EXPECT_EQ(obs::counter("store.lock_timeouts").value(), timeouts);
+    EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(ProfileStore, RemoveDeletesExactlyOneEntry)
@@ -542,6 +561,66 @@ TEST(Batch, HonorsPerSweepCacheDirs)
     EXPECT_EQ(result.stats.unique_sims, 1u);
     EXPECT_EQ(result.stats.cache_hits, 1u);
     EXPECT_EQ(result.stats.sims_run, 0u);
+}
+
+TEST(Batch, OneSweepBatchMatchesSweepRunnerColdAndWarm)
+{
+    // SweepRunner::run and BatchRunner::run share one executor: a
+    // one-sweep batch gives the same bytes and the same phase-1
+    // provenance, on a cold store and then on the warmed one.
+    const std::string dir = freshDir("onesweep");
+    const std::string path = dir + "/measured.json";
+    std::ofstream(path) <<
+        R"({"name": "measured-alu", "num_fus": 2,
+            "active_cycles": 7300, "idle_cycles": 2700,
+            "intervals": [[1, 700], [2, 500], [10, 100]]})";
+    SweepConfig cfg = smallSweep(dir + "/sweep_store");
+    cfg.workloads = {"gcc", "mst"};
+    cfg.imports = {path};
+    BatchConfig batch;
+    batch.sweeps = {cfg};
+    batch.cache_dir = dir + "/batch_store";
+    batch.threads = 2;
+
+    for (const char *pass : {"cold", "warm"}) {
+        const auto sweep = SweepRunner(cfg).run();
+        const auto result = BatchRunner(batch).run();
+        ASSERT_EQ(result.sweeps.size(), 1u);
+        EXPECT_EQ(csvOf(sweep), csvOf(result.sweeps[0])) << pass;
+        EXPECT_EQ(jsonOf(sweep), jsonOf(result.sweeps[0])) << pass;
+        EXPECT_EQ(sweep.stats.sims_run, result.stats.sims_run) << pass;
+        EXPECT_EQ(sweep.stats.cache_hits, result.stats.cache_hits)
+            << pass;
+        EXPECT_EQ(sweep.stats.imported,
+                  result.sweeps[0].stats.imported)
+            << pass;
+        EXPECT_EQ(sweep.stats.imported, 1u) << pass;
+    }
+    // The warm pass above ran on stores the cold pass filled.
+    const auto warm = SweepRunner(cfg).run();
+    EXPECT_EQ(warm.stats.sims_run, 0u);
+    EXPECT_EQ(warm.stats.cache_hits, 2u);
+}
+
+TEST(Batch, DuplicateWorkloadInOneSweepSimulatesOnce)
+{
+    // A sweep that lists a workload twice runs its simulation once
+    // and fills both rows with identical cells.
+    SweepConfig cfg = smallSweep("");
+    cfg.workloads = {"gcc", "gcc"};
+    const auto result = SweepRunner(cfg).run();
+    EXPECT_EQ(result.stats.sims_run, 1u);
+    ASSERT_EQ(result.workloads.size(), 2u);
+    for (std::size_t t = 0; t < result.technologies.size(); ++t) {
+        const auto &a = result.cell(0, t).policies;
+        const auto &b = result.cell(1, t).policies;
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].name, b[i].name);
+            EXPECT_EQ(a[i].energy, b[i].energy);
+            EXPECT_EQ(a[i].leakage_fraction, b[i].leakage_fraction);
+        }
+    }
 }
 
 TEST(Imports, IdleProfileJsonFlowsThroughSweep)

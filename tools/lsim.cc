@@ -289,7 +289,9 @@ commands()
           {"alpha", "A", "activity factor (default 0.5)"},
           {"insts", "N", "committed instructions (default 500000)"},
           {"seed", "N", "trace generator seed (default 1)"},
-          {"threads", "N", "worker threads (default: hardware)"},
+          {"threads", "N",
+           "concurrent executors, caller included (default: "
+           "hardware)"},
           {"profiles", "f,g,...", "custom workload JSON files"},
           {"imports", "f,g,...",
            "imported .lsimprof / idle-profile JSON workloads"},
@@ -307,7 +309,9 @@ commands()
         {"batch", "<spec.json>", 1,
          "run many sweeps at once, deduping shared simulations",
          {{"cache-dir", "DIR", "profile store shared by the batch"},
-          {"threads", "N", "worker threads (default: hardware)"},
+          {"threads", "N",
+           "concurrent executors, caller included (default: "
+           "hardware)"},
           {"out-dir", "DIR",
            "write sweep_<i>.csv + sweep_<i>.json files here"},
           {"json", nullptr, "emit one JSON document on stdout"},
@@ -334,7 +338,8 @@ commands()
            "age-evict profile-store entries each drain (needs "
            "--cache-dir)"},
           {"threads", "N",
-           "persistent worker pool size (default: hardware)"},
+           "persistent pool executors, drain thread included "
+           "(default: hardware)"},
           {"poll-ms", "N", "spool scan interval (default 500)"},
           {"once", nullptr,
            "process the specs currently spooled, then exit"},
