@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -105,7 +106,12 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Run fn(0..count-1) across the workers; blocks until done. */
+    /**
+     * Run fn(0..count-1) across the workers; blocks until done. A
+     * task that throws does not stop the others: every index still
+     * runs, and once all are done run() rethrows the first task
+     * exception on the calling thread. The pool stays usable.
+     */
     void run(std::size_t count, std::function<void(std::size_t)> fn)
     {
         if (count == 0)
@@ -129,6 +135,8 @@ class ThreadPool
         MutexLock lock(job->mu);
         while (job->done.load() != job->count)
             job->done_cv.wait(lock);
+        if (job->error)
+            std::rethrow_exception(job->error);
     }
 
   private:
@@ -141,6 +149,8 @@ class ThreadPool
         std::atomic<std::size_t> done{0};
         Mutex mu;
         CondVar done_cv;
+        /** First task exception, rethrown by run(). */
+        std::exception_ptr error GUARDED_BY(mu);
     };
 
     void work(Job &job)
@@ -160,7 +170,15 @@ class ThreadPool
                                  job.submit_us) /
                              1000.0);
             }
-            job.fn(i);
+            try {
+                job.fn(i);
+            } catch (...) {
+                // An exception escaping a worker thread would
+                // terminate the process; hand it to the submitter.
+                MutexLock lock(job.mu);
+                if (!job.error)
+                    job.error = std::current_exception();
+            }
             tasks.add();
             if (job.done.fetch_add(1) + 1 == job.count) {
                 // Lock pairs with the waiter's predicate check so

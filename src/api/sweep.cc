@@ -1,6 +1,7 @@
 #include "api/sweep.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "api/batch.hh"
 #include "api/parallel.hh"
@@ -372,6 +373,12 @@ SweepRunner::SweepRunner(SweepConfig config)
     if (config_.technologies.empty())
         throw std::invalid_argument(
             "SweepRunner: no technology points (see pSweep())");
+    // Sentinels aside (auto_select = 0, the paper count ~0u), the
+    // FU count must be one cpu::FuPool can build.
+    if (config_.fus > 8 && config_.fus != ~0u)
+        throw std::invalid_argument(
+            "SweepRunner: integer FU count " +
+            std::to_string(config_.fus) + " outside [1,8]");
 
     // Fail fast on unknown names, before any worker starts.
     for (const auto &name : config_.workloads)

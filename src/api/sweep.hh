@@ -274,7 +274,8 @@ class SweepRunner
   public:
     /**
      * Validates @p config eagerly: unknown workloads, bad custom
-     * profiles, unreadable imports, or bad policy specs throw
+     * profiles, unreadable imports, bad policy specs, or an FU
+     * count outside [1,8] (sentinels aside) throw
      * std::invalid_argument here, not from a worker.
      */
     explicit SweepRunner(SweepConfig config);

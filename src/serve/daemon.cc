@@ -99,19 +99,31 @@ trimTrailingNewline(std::string text)
 
 } // namespace
 
+/** How a request ends: the terminal state its status carries. */
+enum class Daemon::Outcome
+{
+    Done,    ///< results delivered
+    Error,   ///< admitted (or a spool spec consumed) but failed
+    Rejected ///< refused at the door; never owned its name
+};
+
 /** One request's lifecycle state, shared by the status transitions
  * so every write carries everything known so far. */
 struct Daemon::Request
 {
     std::string spec_label; ///< "spec" field: filename or name
     std::string name;       ///< request name (results dir stem)
-    std::string work_path;  ///< claimed spool location; "" = socket
-    std::string result_dir; ///< <results>/<name>
+    Ingress ingress = Ingress::Socket;
+    std::string spec_file;  ///< spool filename; empty for socket
+    /** <results>/<name> once this request owns it; empty while it
+     * owns none, and then nothing is written to disk for it. */
+    std::string result_dir;
     std::size_t sweeps = 0; ///< result count, once known
     double run_ms = 0.0;    ///< BatchRunner::run wall time
     double total_ms = 0.0;  ///< admission-to-final wall time
     std::optional<api::BatchStats> stats;
     std::string coalesced_with; ///< primary name, for followers
+    std::chrono::steady_clock::time_point admitted{};
 
     // Wall-clock ISO-8601 stamps, filled as the request advances so
     // per-request latency is reconstructable from the spool alone.
@@ -165,15 +177,16 @@ struct Daemon::Request
         return ss.str();
     }
 
-    /** Atomically (re)write <result_dir>/status.json; @return the
-     * document written. A lost status write (injected or real) is
-     * survivable: the in-process completion board carries the same
-     * line to waiters, and disk pollers see the previous state. */
+    /** Atomically (re)write <result_dir>/status.json when this
+     * request owns a result dir; @return the document. A lost status
+     * write (injected or real) is survivable: the in-process
+     * completion board carries the same line to waiters, and disk
+     * pollers see the previous state. */
     std::string writeStatus(const char *state,
                             const std::string &error = "") const
     {
         std::string doc = statusJson(state, error);
-        if (!LSIM_FAULT("serve.status"))
+        if (!result_dir.empty() && !LSIM_FAULT("serve.status"))
             atomicWriteFile(
                 (fs::path(result_dir) / kStatusFile).string(),
                 doc);
@@ -281,20 +294,11 @@ Daemon::stopped() const
     return config_.stop && config_.stop();
 }
 
-bool
-Daemon::moveTo(const std::string &from, const std::string &subdir,
-               const std::string &name, std::string *error)
+std::string
+Daemon::workPath(const std::string &spec_file) const
 {
-    std::error_code ec;
-    fs::rename(from, fs::path(config_.spool_dir) / subdir / name,
-               ec);
-    if (ec) {
-        if (error)
-            *error = "cannot move '" + from + "' to " + subdir +
-                     "/: " + ec.message();
-        return false;
-    }
-    return true;
+    return (fs::path(config_.spool_dir) / kWorkDir / spec_file)
+        .string();
 }
 
 void
@@ -302,11 +306,7 @@ Daemon::publishFinal(const std::string &name,
                      const std::string &status_line)
 {
     MutexLock lock(board_mu_);
-    const auto [it, inserted] =
-        final_.emplace(name, trimTrailingNewline(status_line));
-    if (!inserted)
-        it->second = trimTrailingNewline(status_line);
-    else
+    if (final_.insert_or_assign(name, status_line).second)
         final_order_.push_back(name);
     while (final_order_.size() > kBoardCapacity) {
         final_.erase(final_order_.front());
@@ -315,126 +315,44 @@ Daemon::publishFinal(const std::string &name,
     board_cv_.notify_all();
 }
 
-void
-Daemon::admitSpool(const std::string &spec_name)
+Daemon::Request
+Daemon::requestState(const QueuedRequest &qr) const
 {
-    // Claim by rename: with several daemons sharing one spool,
-    // exactly one rename succeeds and the losers skip silently.
-    const fs::path spool(config_.spool_dir);
-    const std::string stem = fs::path(spec_name).stem().string();
-    if (queue_.live(stem))
-        return; // a live request owns this name; retry next drain
-    if (LSIM_FAULT("serve.claim"))
-        return; // injected lost claim: spec survives for a later
-                // drain (or another daemon), exactly like a race
-
     Request req;
-    req.spec_label = spec_name;
-    req.name = stem;
-    req.work_path = (spool / kWorkDir / spec_name).string();
-    {
-        std::error_code ec;
-        fs::rename(spool / spec_name, req.work_path, ec);
-        if (ec)
-            return; // raced with another daemon, or vanished
-    }
-    req.result_dir = (fs::path(results_dir_) / stem).string();
-    {
-        std::error_code ec;
-        fs::create_directories(req.result_dir, ec);
-        if (ec) {
-            warn("serve: cannot create result dir '%s': %s",
-                 req.result_dir.c_str(), ec.message().c_str());
-            // Without a result dir there is nowhere to report
-            // status; park the spec in failed/ and move on.
-            moveTo(req.work_path, kFailedDir, spec_name, nullptr);
-            obs::counter("serve.requests_failed").add();
-            MutexLock lock(stats_mu_);
-            stats_.failed += 1;
-            stats_.processed += 1;
-            return;
-        }
-    }
-    {
-        // A re-submitted name must not wait-match its old result.
-        MutexLock lock(board_mu_);
-        final_.erase(stem);
-    }
+    req.spec_label =
+        qr.ingress == Ingress::Spool ? qr.spec_file : qr.name;
+    req.name = qr.name;
+    req.ingress = qr.ingress;
+    req.spec_file = qr.spec_file;
+    req.result_dir = (fs::path(results_dir_) / qr.name).string();
+    req.coalesced_with = qr.coalesced_with;
+    req.admitted = qr.admitted;
+    req.queued_at = qr.queued_at;
+    return req;
+}
 
-    const auto admitted = std::chrono::steady_clock::now();
-    req.queued_at = obs::isoTimestampNow();
-    req.writeStatus("queued");
-
+void
+Daemon::admitSpool(const std::string &spec_file)
+{
     QueuedRequest qr;
-    qr.name = stem;
-    qr.spec_file = spec_name;
-    qr.spec_text = readFileText(req.work_path);
+    qr.name = fs::path(spec_file).stem().string();
+    qr.spec_file = spec_file;
     qr.ingress = Ingress::Spool;
-    qr.queued_at = req.queued_at;
-    qr.admitted = admitted;
-    try {
-        qr.fingerprint = api::batchFingerprint(
-            batchConfigFromJson(parseJson(qr.spec_text)));
-    } catch (const std::exception &err) {
-        // Malformed specs fail at the door, before they cost a
-        // queue slot: error status, spec to failed/.
-        req.total_ms = msSince(admitted);
-        req.finished_at = obs::isoTimestampNow();
-        const std::string line =
-            req.writeStatus("error", err.what());
-        publishFinal(stem, line);
-        obs::counter("serve.requests_failed").add();
-        std::string move_error;
-        if (!moveTo(req.work_path, kFailedDir, spec_name,
-                    &move_error))
-            warn("serve: %s", move_error.c_str());
-        {
-            MutexLock lock(stats_mu_);
-            stats_.failed += 1;
-            stats_.processed += 1;
-        }
-        warn("serve: %s failed: %s", spec_name.c_str(),
-             err.what());
+    if (queue_.live(qr.name))
+        return; // a live request owns this name; retry next drain
+    // Claim by rename: with several daemons sharing one spool,
+    // exactly one rename succeeds and the losers skip silently. An
+    // injected lost claim leaves the spec for a later drain (or
+    // another daemon), exactly like a lost race.
+    if (LSIM_FAULT("serve.claim"))
         return;
-    }
-
-    std::string primary;
-    switch (queue_.submit(std::move(qr), &primary)) {
-    case Admission::Enqueued:
-        break;
-    case Admission::Coalesced:
-        // The identical in-flight request will fan its results out
-        // to this one; no queue slot, no execution.
-        obs::counter("serve.requests_coalesced").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.coalesced += 1;
-        }
-        inform("serve: %s coalesced with in-flight request '%s'",
-               spec_name.c_str(), primary.c_str());
-        break;
-    case Admission::RejectedFull:
-        // Backpressure: un-claim so the spec survives on disk and a
-        // later drain (or another daemon) picks it up.
-        {
-            std::error_code ec;
-            fs::rename(req.work_path, spool / spec_name, ec);
-        }
-        break;
-    case Admission::RejectedName:
-        // Lost a race with a socket submission using this name.
-        warn("serve: %s rejected: request name '%s' is in use",
-             spec_name.c_str(), stem.c_str());
-        moveTo(req.work_path, kFailedDir, spec_name, nullptr);
-        obs::counter("serve.requests_rejected").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.rejected += 1;
-            stats_.failed += 1;
-            stats_.processed += 1;
-        }
-        break;
-    }
+    std::error_code ec;
+    fs::rename(fs::path(config_.spool_dir) / spec_file,
+               workPath(spec_file), ec);
+    if (ec)
+        return; // raced with another daemon, or vanished
+    const std::string spec_text = readFileText(workPath(spec_file));
+    admit(std::move(qr), spec_text, nullptr);
 }
 
 SubmitResult
@@ -442,70 +360,85 @@ Daemon::submitRequest(const std::string &name,
                       const std::string &spec_text, int priority,
                       std::string *response)
 {
-    const auto reject = [&](const std::string &message,
-                            bool write_status) {
-        Request req;
-        req.spec_label = name.empty() ? "?" : name;
-        req.name = req.spec_label;
-        if (write_status) {
-            req.result_dir =
-                (fs::path(results_dir_) / req.name).string();
-            std::error_code ec;
-            fs::create_directories(req.result_dir, ec);
-            if (!ec) {
-                req.finished_at = obs::isoTimestampNow();
-                req.writeStatus("rejected", message);
-            }
-        }
-        if (response)
-            *response = trimTrailingNewline(
-                req.statusJson("rejected", message));
-        obs::counter("serve.requests_rejected").add();
-        MutexLock lock(stats_mu_);
-        stats_.rejected += 1;
-        return SubmitResult::Rejected;
-    };
-
-    if (!validName(name))
-        return reject("invalid request name", false);
-    if (queue_.live(name))
-        return reject("request name '" + name + "' is in use",
-                      false);
-    if (LSIM_FAULT("serve.admit"))
-        return reject("injected admission fault", false);
-
     QueuedRequest qr;
     qr.name = name;
-    qr.spec_text = spec_text;
     qr.priority = priority;
     qr.ingress = Ingress::Socket;
-    qr.admitted = std::chrono::steady_clock::now();
-    try {
-        qr.fingerprint = api::batchFingerprint(
-            batchConfigFromJson(parseJson(spec_text)));
-    } catch (const std::exception &err) {
-        return reject(err.what(), false);
-    }
+    return admit(std::move(qr), spec_text, response);
+}
 
-    Request req;
-    req.spec_label = name;
-    req.name = name;
-    req.result_dir = (fs::path(results_dir_) / name).string();
-    {
-        std::error_code ec;
-        fs::create_directories(req.result_dir, ec);
-        if (ec)
-            return reject("cannot create result dir '" +
-                              req.result_dir +
-                              "': " + ec.message(),
-                          false);
+SubmitResult
+Daemon::admit(QueuedRequest qr, const std::string &spec_text,
+              std::string *ack)
+{
+    const bool spool = qr.ingress == Ingress::Spool;
+    qr.admitted = std::chrono::steady_clock::now();
+    Request req = requestState(qr);
+    req.result_dir.clear(); // owned once created, below
+    if (req.spec_label.empty())
+        req.spec_label = "?";
+
+    const auto refuse = [&](const std::string &message,
+                            Outcome outcome) {
+        const std::string line = conclude(req, outcome, message);
+        if (ack)
+            *ack = line;
+        return SubmitResult::Rejected;
+    };
+    // A spec this ingress cannot admit: a socket client gets a
+    // `rejected` ack, while a claimed spool spec is consumed as an
+    // `error` into failed/ (the disk is its only reporting channel).
+    const Outcome unadmitted =
+        spool ? Outcome::Error : Outcome::Rejected;
+    const std::string in_use =
+        "request name '" + qr.name + "' is in use";
+
+    if (!spool && !validName(qr.name))
+        return refuse("invalid request name", Outcome::Rejected);
+    if (queue_.live(qr.name))
+        return refuse(in_use, Outcome::Rejected);
+    if (!spool && LSIM_FAULT("serve.admit"))
+        return refuse("injected admission fault", Outcome::Rejected);
+
+    // The one parse of this spec: execute() runs the BatchConfig
+    // carried on the queued request.
+    std::string malformed;
+    try {
+        qr.batch = batchConfigFromJson(parseJson(spec_text));
+        qr.fingerprint = api::batchFingerprint(qr.batch);
+    } catch (const std::exception &err) {
+        malformed = err.what();
     }
+    // A malformed socket spec never touches the disk.
+    if (!malformed.empty() && !spool)
+        return refuse(malformed, unadmitted);
+
     {
+        // A re-submitted name must not wait-match its old result,
+        // and its old board row must not later evict the new one.
         MutexLock lock(board_mu_);
-        final_.erase(name);
+        if (final_.erase(qr.name) > 0)
+            final_order_.erase(std::find(final_order_.begin(),
+                                         final_order_.end(),
+                                         qr.name));
     }
-    req.queued_at = obs::isoTimestampNow();
-    qr.queued_at = req.queued_at;
+    {
+        const std::string dir =
+            (fs::path(results_dir_) / qr.name).string();
+        std::error_code ec;
+        fs::create_directories(dir, ec);
+        if (ec)
+            return refuse("cannot create result dir '" + dir +
+                              "': " + ec.message(),
+                          unadmitted);
+        req.result_dir = dir;
+    }
+    req.queued_at = qr.queued_at = obs::isoTimestampNow();
+    // A malformed spool spec skips the transient `queued` write and
+    // lands its `error` status straight away.
+    if (!malformed.empty())
+        return refuse(malformed, unadmitted);
+
     // The queued status lands on disk *before* the queue sees the
     // request, so the execution fan-out can never lose a race to
     // this write (its done status always comes later).
@@ -514,31 +447,122 @@ Daemon::submitRequest(const std::string &name,
     std::string primary;
     switch (queue_.submit(std::move(qr), &primary)) {
     case Admission::Enqueued:
-        if (response)
-            *response =
-                trimTrailingNewline(req.statusJson("queued"));
-        return SubmitResult::Queued;
+        break;
     case Admission::Coalesced:
-        obs::counter("serve.requests_coalesced").add();
-        {
-            MutexLock lock(stats_mu_);
-            stats_.coalesced += 1;
-        }
+        // The identical in-flight request will fan its results out
+        // to this one; no queue slot, no execution.
         req.coalesced_with = primary;
-        if (response)
-            *response =
-                trimTrailingNewline(req.statusJson("queued"));
-        return SubmitResult::Coalesced;
+        inform("serve: %s coalesced with in-flight request '%s'",
+               req.spec_label.c_str(), primary.c_str());
+        break;
     case Admission::RejectedFull:
-        return reject("queue full (" +
+        if (spool) {
+            // Backpressure: un-claim so the spec survives on disk
+            // and a later drain (or another daemon) picks it up.
+            std::error_code ec;
+            fs::rename(workPath(req.spec_file),
+                       fs::path(config_.spool_dir) / req.spec_file,
+                       ec);
+            return SubmitResult::Rejected;
+        }
+        return refuse("queue full (" +
                           std::to_string(config_.max_queue) +
                           " pending)",
-                      true);
+                      Outcome::Rejected);
     case Admission::RejectedName:
-        return reject("request name '" + name + "' is in use",
-                      false);
+        // Lost a race for the name: its result dir is the winner's.
+        req.result_dir.clear();
+        return refuse(in_use, Outcome::Rejected);
     }
-    return reject("internal admission error", false);
+    if (ack)
+        *ack = trimTrailingNewline(req.statusJson("queued"));
+    return req.coalesced_with.empty() ? SubmitResult::Queued
+                                      : SubmitResult::Coalesced;
+}
+
+std::string
+Daemon::conclude(Request &req, Outcome outcome,
+                 const std::string &message)
+{
+    const bool spool = req.ingress == Ingress::Spool;
+    req.total_ms = msSince(req.admitted);
+    req.finished_at = obs::isoTimestampNow();
+    if (outcome == Outcome::Error && !req.result_dir.empty()) {
+        // `error` status guarantees no result files: remove anything
+        // a partially delivered (or prior same-named) run left
+        // behind, so a poller never pairs stale sweeps with a
+        // failed status.
+        std::error_code ec;
+        for (const auto &de :
+             fs::directory_iterator(req.result_dir, ec)) {
+            if (de.path().filename().string().rfind("sweep_", 0) ==
+                0)
+                fs::remove(de.path(), ec);
+        }
+    }
+    const char *state = outcome == Outcome::Done    ? "done"
+                        : outcome == Outcome::Error ? "error"
+                                                    : "rejected";
+    const std::string line =
+        trimTrailingNewline(req.writeStatus(state, message));
+    // A rejected request never owned its name: waiters on that name
+    // are someone else's.
+    if (outcome != Outcome::Rejected)
+        publishFinal(req.name, line);
+    if (spool) {
+        const fs::path to = fs::path(config_.spool_dir) /
+                            (outcome == Outcome::Done ? kDoneDir
+                                                      : kFailedDir) /
+                            req.spec_file;
+        std::error_code ec;
+        fs::rename(workPath(req.spec_file), to, ec);
+        if (ec)
+            warn("serve: cannot move '%s' to %s: %s",
+                 workPath(req.spec_file).c_str(), to.c_str(),
+                 ec.message().c_str());
+    }
+
+    // ServeStats and the serve.requests_* counters move together. A
+    // spool spec is consumed whatever its outcome; a rejected socket
+    // submission was never admitted, so it is not "processed".
+    const bool follower = !req.coalesced_with.empty();
+    {
+        MutexLock lock(stats_mu_);
+        stats_.coalesced += follower ? 1 : 0;
+        stats_.rejected += outcome == Outcome::Rejected ? 1 : 0;
+        if (outcome == Outcome::Done)
+            stats_.done += 1;
+        else if (outcome == Outcome::Error || spool)
+            stats_.failed += 1;
+        if (outcome != Outcome::Rejected || spool)
+            stats_.processed += 1;
+    }
+    if (follower)
+        obs::counter("serve.requests_coalesced").add();
+    switch (outcome) {
+    case Outcome::Done:
+        // The latency histogram counts successful requests only, so
+        // its count stays equal to serve.requests_done (tested
+        // invariant); followers count as requests in both.
+        obs::counter("serve.requests_done").add();
+        obs::histogram("serve.request_ms").observe(req.total_ms);
+        if (!spool)
+            obs::histogram("serve.socket_request_ms")
+                .observe(req.total_ms);
+        break;
+    case Outcome::Error:
+        obs::counter("serve.requests_failed").add();
+        warn("serve: %s failed: %s", req.spec_label.c_str(),
+             message.c_str());
+        break;
+    case Outcome::Rejected:
+        obs::counter("serve.requests_rejected").add();
+        if (spool)
+            warn("serve: %s rejected: %s", req.spec_label.c_str(),
+                 message.c_str());
+        break;
+    }
+    return line;
 }
 
 std::string
@@ -592,79 +616,20 @@ Daemon::waitFor(const std::string &name, double timeout_s)
 }
 
 void
-Daemon::failRequest(const QueuedRequest &req,
-                    const std::string &message,
-                    const std::string &started_at)
-{
-    Request r;
-    r.spec_label =
-        req.ingress == Ingress::Spool ? req.spec_file : req.name;
-    r.name = req.name;
-    r.result_dir = (fs::path(results_dir_) / req.name).string();
-    if (req.ingress == Ingress::Spool)
-        r.work_path =
-            (fs::path(config_.spool_dir) / kWorkDir /
-             req.spec_file)
-                .string();
-    r.queued_at = req.queued_at;
-    r.started_at = started_at;
-    r.total_ms = msSince(req.admitted);
-    r.finished_at = obs::isoTimestampNow();
-    // `error` status guarantees no result files: remove anything a
-    // partially delivered (or prior same-named) run left behind, so
-    // a poller never pairs stale sweeps with a failed status.
-    {
-        std::error_code ec;
-        for (const auto &de :
-             fs::directory_iterator(r.result_dir, ec)) {
-            const std::string fname =
-                de.path().filename().string();
-            if (fname.rfind("sweep_", 0) == 0)
-                fs::remove(de.path(), ec);
-        }
-    }
-    const std::string line = r.writeStatus("error", message);
-    publishFinal(req.name, line);
-    obs::counter("serve.requests_failed").add();
-    if (!r.work_path.empty()) {
-        std::string move_error;
-        if (!moveTo(r.work_path, kFailedDir, req.spec_file,
-                    &move_error))
-            warn("serve: %s", move_error.c_str());
-    }
-    {
-        MutexLock lock(stats_mu_);
-        stats_.failed += 1;
-        stats_.processed += 1;
-    }
-    warn("serve: %s failed: %s", r.spec_label.c_str(),
-         message.c_str());
-}
-
-void
-Daemon::execute(const QueuedRequest &qr)
+Daemon::execute(QueuedRequest qr)
 {
     obs::TraceSpan span("serve.request", "serve");
-    Request req;
-    req.spec_label =
-        qr.ingress == Ingress::Spool ? qr.spec_file : qr.name;
-    req.name = qr.name;
-    req.result_dir = (fs::path(results_dir_) / qr.name).string();
-    if (qr.ingress == Ingress::Spool)
-        req.work_path =
-            (fs::path(config_.spool_dir) / kWorkDir / qr.spec_file)
-                .string();
-    req.queued_at = qr.queued_at;
+    Request req = requestState(qr);
 
+    // Non-empty once the primary failed; its followers then fail
+    // with this message instead of receiving results.
+    std::string failure;
     api::BatchResult result;
-    std::vector<std::pair<std::string, std::string>> rendered;
     try {
-        api::BatchConfig batch =
-            batchConfigFromJson(parseJson(qr.spec_text));
         // Execution parameters come from the daemon, not the spec:
         // every request shares the daemon's store and pool.
-        batch.cache_dir = config_.cache_dir;
-        api::BatchRunner runner(std::move(batch));
+        qr.batch.cache_dir = config_.cache_dir;
+        api::BatchRunner runner(std::move(qr.batch));
 
         req.started_at = obs::isoTimestampNow();
         req.writeStatus("running");
@@ -692,21 +657,14 @@ Daemon::execute(const QueuedRequest &qr)
         req.run_ms = msSince(run_start);
     } catch (const api::CancelledError &) {
         obs::counter("serve.deadline_exceeded").add();
-        const std::string message =
-            "deadline exceeded: request ran past " +
-            std::to_string(config_.request_timeout_s) + " s";
-        failRequest(qr, message, req.started_at);
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, message, req.started_at);
-        return;
+        failure = "deadline exceeded: request ran past " +
+                  std::to_string(config_.request_timeout_s) + " s";
     } catch (const std::exception &err) {
-        failRequest(qr, err.what(), req.started_at);
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, err.what(), req.started_at);
-        return;
+        failure = err.what();
     }
 
     // Render once; the primary and every follower get these bytes.
+    std::vector<std::pair<std::string, std::string>> rendered;
     rendered.reserve(result.sweeps.size());
     for (const auto &sweep : result.sweeps) {
         std::ostringstream csv, json;
@@ -714,12 +672,7 @@ Daemon::execute(const QueuedRequest &qr)
         sweep.writeJson(json);
         rendered.emplace_back(csv.str(), json.str());
     }
-
-    req.sweeps = result.sweeps.size();
-    req.stats = result.stats;
-
-    const auto deliver = [&](Request &r,
-                             const QueuedRequest &origin) -> bool {
+    const auto deliver = [&](Request &r) {
         for (std::size_t i = 0; i < rendered.size(); ++i) {
             const std::string stem_i =
                 (fs::path(r.result_dir) /
@@ -730,82 +683,56 @@ Daemon::execute(const QueuedRequest &qr)
                                  rendered[i].first) ||
                 !atomicWriteFile(stem_i + ".json",
                                  rendered[i].second)) {
-                failRequest(origin,
-                            "cannot write results under '" +
-                                r.result_dir + "'",
-                            r.started_at);
+                conclude(r, Outcome::Error,
+                         "cannot write results under '" +
+                             r.result_dir + "'");
                 return false;
             }
         }
-        r.total_ms = msSince(origin.admitted);
-        r.finished_at = obs::isoTimestampNow();
-        const std::string line = r.writeStatus("done");
-        publishFinal(origin.name, line);
-        if (!r.work_path.empty()) {
-            std::string move_error;
-            if (!moveTo(r.work_path, kDoneDir, origin.spec_file,
-                        &move_error))
-                warn("serve: %s", move_error.c_str());
-        }
-        {
-            MutexLock lock(stats_mu_);
-            stats_.done += 1;
-            stats_.processed += 1;
-        }
-        // The latency histogram counts successful requests only, so
-        // its count stays equal to serve.requests_done (tested
-        // invariant); followers count as requests in both.
-        obs::counter("serve.requests_done").add();
-        obs::histogram("serve.request_ms").observe(r.total_ms);
-        if (origin.ingress == Ingress::Socket)
-            obs::histogram("serve.socket_request_ms")
-                .observe(r.total_ms);
+        conclude(r, Outcome::Done);
         return true;
     };
 
-    if (!deliver(req, qr)) {
-        // The primary's failure fails its followers too — their
-        // promise was "the primary's results".
-        for (const QueuedRequest &f : queue_.finish(qr.name))
-            failRequest(f, "primary request '" + qr.name +
-                               "' failed to deliver results",
-                        req.started_at);
-        return;
+    if (!failure.empty()) {
+        conclude(req, Outcome::Error, failure);
+    } else {
+        req.sweeps = result.sweeps.size();
+        req.stats = result.stats;
+        if (deliver(req)) {
+            // Work counters tick once per *execution*; request
+            // counters tick once per request, followers included.
+            obs::counter("serve.requested_sims")
+                .add(result.stats.requested_sims);
+            obs::counter("serve.unique_sims")
+                .add(result.stats.unique_sims);
+            obs::counter("serve.cache_hits")
+                .add(result.stats.cache_hits);
+            obs::counter("serve.sims_run").add(result.stats.sims_run);
+            inform("serve: %s done in %.1f ms (%zu sweep(s), %zu "
+                   "cache hit(s), %zu simulated)",
+                   req.spec_label.c_str(), req.total_ms, req.sweeps,
+                   result.stats.cache_hits, result.stats.sims_run);
+        } else {
+            // The primary's failure fails its followers too — their
+            // promise was "the primary's results".
+            failure = "primary request '" + req.name +
+                      "' failed to deliver results";
+        }
     }
-    // Work counters tick once per *execution*; request counters
-    // (above) tick once per request, followers included.
-    obs::counter("serve.requested_sims")
-        .add(result.stats.requested_sims);
-    obs::counter("serve.unique_sims").add(result.stats.unique_sims);
-    obs::counter("serve.cache_hits").add(result.stats.cache_hits);
-    obs::counter("serve.sims_run").add(result.stats.sims_run);
-    inform("serve: %s done in %.1f ms (%zu sweep(s), %zu cache "
-           "hit(s), %zu simulated)",
-           req.spec_label.c_str(), req.total_ms, req.sweeps,
-           result.stats.cache_hits, result.stats.sims_run);
 
-    // Fan out: byte-identical results to every coalesced follower.
-    for (const QueuedRequest &f : queue_.finish(qr.name)) {
-        Request fr;
-        fr.spec_label =
-            f.ingress == Ingress::Spool ? f.spec_file : f.name;
-        fr.name = f.name;
-        fr.result_dir =
-            (fs::path(results_dir_) / f.name).string();
-        if (f.ingress == Ingress::Spool)
-            fr.work_path =
-                (fs::path(config_.spool_dir) / kWorkDir /
-                 f.spec_file)
-                    .string();
-        fr.queued_at = f.queued_at;
+    // Fan out: byte-identical results (or the primary's failure) to
+    // every coalesced follower.
+    for (const QueuedRequest &f : queue_.finish(req.name)) {
+        Request fr = requestState(f);
         fr.started_at = req.started_at;
+        if (!failure.empty()) {
+            conclude(fr, Outcome::Error, failure);
+            continue;
+        }
         fr.run_ms = req.run_ms;
         fr.sweeps = req.sweeps;
         fr.stats = req.stats;
-        fr.coalesced_with = qr.name;
-        std::error_code ec;
-        fs::create_directories(fr.result_dir, ec);
-        deliver(fr, f);
+        deliver(fr);
     }
 }
 
@@ -869,13 +796,13 @@ Daemon::janitorSweep()
 void
 Daemon::abandonQueued()
 {
-    for (const QueuedRequest &req : queue_.drainPending()) {
-        if (req.ingress == Ingress::Spool) {
-            // Leave the claimed spec in work/: the next daemon's
-            // crash recovery re-queues and re-executes it.
+    for (const QueuedRequest &qr : queue_.drainPending()) {
+        // A claimed spool spec stays in work/: the next daemon's
+        // crash recovery re-queues and re-executes it.
+        if (qr.ingress == Ingress::Spool)
             continue;
-        }
-        failRequest(req, "daemon stopping", "");
+        Request req = requestState(qr);
+        conclude(req, Outcome::Error, "daemon stopping");
     }
 }
 
@@ -897,18 +824,14 @@ Daemon::drainOnce()
     }
     std::sort(names.begin(), names.end());
 
-    std::size_t before = 0;
-    {
-        MutexLock lock(stats_mu_);
-        before = stats_.processed;
-    }
+    const std::size_t before = stats().processed;
     for (const std::string &name : names) {
         if (queue_.full())
             break; // spool backpressure: leave the rest on disk
         admitSpool(name);
     }
     while (auto req = queue_.pop()) {
-        execute(*req);
+        execute(std::move(*req));
         if (stopped())
             break; // graceful: finish the request, not the queue
     }

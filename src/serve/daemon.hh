@@ -44,6 +44,22 @@
  * index they share is reconciled with the lock-file + generation
  * protocol (see store/store_index.hh).
  *
+ * Request lifecycle: both front doors feed one admission core —
+ * live-name check, the request's single spec parse (the parsed
+ * config rides the queue to execution) and fingerprint, result dir,
+ * completion-board reset, `queued` status, queue submission — and
+ * every request ends in one terminal step that writes the
+ * done/error/rejected status, publishes it to the completion board,
+ * moves a spool spec to done/ or failed/, and counts it in
+ * ServeStats and the serve.requests_* counters together. Only a few
+ * steps differ by ingress. The spool claims its spec by rename
+ * first, un-claims it when the queue is full, and consumes a spec it
+ * cannot admit as `error` into failed/; a malformed spool spec skips
+ * the transient `queued` write. The socket validates the name and
+ * answers with an ack line; a submission it cannot admit is
+ * `rejected` and leaves no trace on disk (except on a full queue,
+ * which writes a `rejected` status).
+ *
  * A TTL janitor (--ttl) prunes consumed specs and result
  * directories older than the TTL each drain, and --cache-ttl runs
  * the store's age-based gc alongside it, so an unattended daemon
@@ -145,7 +161,7 @@ struct ServeStats
     std::size_t failed = 0;    ///< malformed or failed
     std::size_t recovered = 0; ///< stranded work/ specs re-queued
     std::size_t polls = 0;     ///< spool scans
-    std::size_t coalesced = 0; ///< requests served by fan-out
+    std::size_t coalesced = 0; ///< finished followers of a fan-out
     std::size_t rejected = 0;  ///< submissions refused (backpressure)
 };
 
@@ -195,10 +211,9 @@ class Daemon
 
     /**
      * Socket-path admission (called from connection threads; safe
-     * against the drain thread). Validates the spec, creates the
-     * result dir, writes the queued status, and submits to the
-     * shared queue. @p response receives the status.json-shaped ack
-     * line (no trailing newline).
+     * against the drain thread): validates the name, then runs the
+     * admission core the spool shares. @p response receives the
+     * status.json-shaped ack line (no trailing newline).
      */
     SubmitResult submitRequest(const std::string &name,
                                const std::string &spec_text,
@@ -231,21 +246,41 @@ class Daemon
     }
 
   private:
+    enum class Outcome;
     struct Request;
 
     void recoverStale();
     bool stopped() const;
 
-    /** Claim one spool spec and admit it to the queue. */
-    void admitSpool(const std::string &spec_name);
+    /** <spool>/work/<spec_file>: where a claimed spec lives. */
+    std::string workPath(const std::string &spec_file) const;
+
+    /** Claim one spool spec and admit it. */
+    void admitSpool(const std::string &spec_file);
+
+    /**
+     * The admission core both front doors share: live-name check,
+     * the one spec parse and fingerprint, result dir, completion
+     * board reset, `queued` status, queue submission. Refusals go
+     * through conclude(); @p ack (when non-null) receives the
+     * status line for the client.
+     */
+    SubmitResult admit(QueuedRequest qr, const std::string &spec_text,
+                       std::string *ack);
+
+    /** A request's lifecycle state, built from its queued form. */
+    Request requestState(const QueuedRequest &qr) const;
 
     /** Execute one popped request and fan out to its followers. */
-    void execute(const QueuedRequest &req);
+    void execute(QueuedRequest qr);
 
-    /** Fail @p req (status, counters, spool move, board). */
-    void failRequest(const QueuedRequest &req,
-                     const std::string &message,
-                     const std::string &started_at);
+    /**
+     * Land @p req in its terminal state: status write, completion
+     * board, spool spec to done/ or failed/, ServeStats and the
+     * serve.requests_* counters. @return the status line.
+     */
+    std::string conclude(Request &req, Outcome outcome,
+                         const std::string &message = "");
 
     /** Remove consumed specs / result dirs older than the TTL. */
     void janitorSweep();
@@ -256,9 +291,6 @@ class Daemon
 
     /** Fail every queued socket request (shutdown path). */
     void abandonQueued();
-
-    bool moveTo(const std::string &from, const std::string &subdir,
-                const std::string &name, std::string *error);
 
     ServeConfig config_;
     std::string results_dir_;

@@ -25,6 +25,7 @@ RequestQueue::submit(QueuedRequest req, std::string *primary)
     if (hit != primaries_.end()) {
         if (primary)
             *primary = hit->second;
+        req.coalesced_with = hit->second;
         live_[req.name] = req.fingerprint;
         req.seq = next_seq_++;
         followers_[hit->second].push_back(std::move(req));

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "api/batch.hh"
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
 
@@ -59,8 +60,10 @@ struct QueuedRequest
 {
     std::string name;        ///< request name (results dir stem)
     std::string spec_file;   ///< spool filename; empty for socket
-    std::string spec_text;   ///< raw batch-spec JSON
+    api::BatchConfig batch;  ///< the spec, parsed once at admission
     std::string fingerprint; ///< request-tier identity
+    /** Primary this request rides; set by submit() on Coalesced. */
+    std::string coalesced_with;
     int priority = 0;        ///< higher pops first
     Ingress ingress = Ingress::Spool;
     std::uint64_t seq = 0;   ///< admission order (FIFO tiebreak)
@@ -88,7 +91,8 @@ class RequestQueue
     /**
      * Admit @p req. On Coalesced, @p primary (when non-null)
      * receives the name of the request the submission attached to.
-     * The caller fills every QueuedRequest field except seq.
+     * The caller fills every QueuedRequest field except seq and
+     * coalesced_with.
      */
     Admission submit(QueuedRequest req, std::string *primary);
 

@@ -264,10 +264,10 @@ ProfileStore::~ProfileStore()
 void
 ProfileStore::flushIndexLocked() const
 {
-    if (!index_dirty_)
-        return;
-    index_.save();
-    index_dirty_ = false;
+    // A failed save keeps the flag set, so the next flush (at the
+    // latest the destructor's) retries it.
+    if (index_dirty_ && index_.save())
+        index_dirty_ = false;
 }
 
 std::string

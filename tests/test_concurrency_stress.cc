@@ -20,6 +20,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +163,41 @@ TEST(ThreadPoolContract, EveryIndexRunsExactlyOnce)
             }
         }
     }
+}
+
+/** A task throwing on a worker thread reaches run()'s caller after
+ * every other index has run, and the pool stays usable. */
+TEST(ThreadPoolContract, WorkerTaskExceptionIsRethrownByRun)
+{
+    api::detail::ThreadPool pool(4);
+    const auto caller = std::this_thread::get_id();
+    constexpr std::size_t kCount = 64;
+    std::vector<std::atomic<int>> ran(kCount);
+    std::atomic<bool> thrown{false};
+    const auto task = [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (std::this_thread::get_id() != caller) {
+            if (!thrown.exchange(true))
+                throw std::runtime_error("worker task failed");
+            return;
+        }
+        // Hold the caller until a worker has thrown, so the
+        // exception really starts on a worker thread.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!thrown.load() &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+    };
+    EXPECT_THROW(pool.run(kCount, task), std::runtime_error);
+    EXPECT_TRUE(thrown.load());
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(ran[i].load(), 1) << "index " << i;
+
+    std::vector<std::atomic<int>> again(kCount);
+    pool.run(kCount, [&](std::size_t i) { again[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(again[i].load(), 1) << "index " << i;
 }
 
 /**
@@ -391,7 +427,6 @@ TEST(QueueStress, SubmitCoalesceFinishUnderFaults)
                     req.fingerprint =
                         "fp-" + std::to_string((t * kIters + i) % 6);
                 }
-                req.spec_text = "{}";
                 req.priority = i % 3;
                 req.ingress = serve::Ingress::Socket;
                 std::string primary;

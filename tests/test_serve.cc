@@ -226,6 +226,71 @@ TEST(Daemon, WarmSecondRequestIsServedFromTheSharedStore)
     EXPECT_EQ(third.at("stats").at("cache_hits").asU64(), 1u);
 }
 
+TEST(Daemon, PoisonSpecFailsAloneAndTheDrainGoesOn)
+{
+    // An FU count no core can build used to throw from a pool
+    // worker and abort the daemon, leaving the spec in work/ to
+    // abort every restart. It must land in failed/ like any other
+    // bad spec, and the good spec beside it must still be served.
+    const std::string spool = freshDir("poison");
+    writeFile(fs::path(spool) / "a_poison.json",
+              R"({"sweeps":[{"benchmarks":["gcc","mcf","gzip","vpr"],
+                             "fus":9,"steps":1,"insts":2000}]})");
+    writeFile(fs::path(spool) / "b_good.json", kSpec);
+
+    ServeConfig cfg = baseConfig(spool);
+    cfg.threads = 4;
+    Daemon daemon(cfg);
+    EXPECT_EQ(daemon.drainOnce(), 2u);
+    EXPECT_EQ(daemon.stats().failed, 1u);
+    EXPECT_EQ(daemon.stats().done, 1u);
+
+    EXPECT_TRUE(
+        fs::exists(fs::path(spool) / "failed" / "a_poison.json"));
+    EXPECT_TRUE(fs::exists(fs::path(spool) / "done" / "b_good.json"));
+    EXPECT_TRUE(fs::is_empty(fs::path(spool) / "work"));
+    const JsonValue status = parseJsonFile(
+        (fs::path(spool) / "results" / "a_poison" / "status.json")
+            .string());
+    EXPECT_EQ(status.at("state").asString(), "error");
+    EXPECT_NE(status.at("error").asString().find("outside [1,8]"),
+              std::string::npos);
+}
+
+TEST(Daemon, ResubmittedNameKeepsItsFreshBoardEntry)
+{
+    // Run "x", 10 other names, "x" again, then 245 more: 256
+    // distinct names, exactly the completion board's capacity, so
+    // the fresh "x" result must still be on the board. (A stale
+    // board row for the first "x" used to evict it.)
+    const std::string spool = freshDir("board");
+    auto cfg = baseConfig(spool);
+    cfg.cache_dir = freshDir("board_cache");
+    Daemon daemon(cfg);
+    const auto drain = [&](const std::string &prefix, int count) {
+        for (int i = 0; i < count; ++i)
+            writeFile(fs::path(spool) /
+                          (prefix + std::to_string(1000 + i) +
+                           ".json"),
+                      kSpec);
+        EXPECT_EQ(daemon.drainOnce(),
+                  static_cast<std::size_t>(count));
+    };
+    writeFile(fs::path(spool) / "x.json", kSpec);
+    EXPECT_EQ(daemon.drainOnce(), 1u);
+    drain("a", 10);
+    writeFile(fs::path(spool) / "x.json", kSpec);
+    EXPECT_EQ(daemon.drainOnce(), 1u);
+    drain("b", 245);
+    EXPECT_EQ(daemon.stats().done, 257u);
+
+    // Only the board can answer now.
+    fs::remove(fs::path(spool) / "results" / "x" / "status.json");
+    const JsonValue line = parseJson(daemon.waitFor("x", 1.0));
+    EXPECT_EQ(line.at("state").asString(), "done")
+        << line.at("error").asString();
+}
+
 TEST(Daemon, RecoversSpecsStrandedInWork)
 {
     const std::string spool = freshDir("recover");

@@ -19,6 +19,7 @@
 #include "api/batch.hh"
 #include "api/experiment.hh"
 #include "api/sweep.hh"
+#include "common/fault.hh"
 #include "obs/metrics.hh"
 #include "store/profile_store.hh"
 #include "store/serialize.hh"
@@ -202,6 +203,22 @@ TEST(ProfileStore, FlushIntoAVanishedDirectoryFailsFast)
     EXPECT_EQ(obs::counter("store.retries").value(), retries);
     EXPECT_EQ(obs::counter("store.lock_timeouts").value(), timeouts);
     EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(ProfileStore, FailedIndexFlushIsRetriedOnDestruction)
+{
+    // The save's own index flush is lost; the index stays dirty, so
+    // the destructor's flush must write the entry after all.
+    const std::string dir = freshDir("index_retry");
+    fault::configure("store.index.write:count=1");
+    {
+        const ProfileStore db(dir);
+        db.save("gcc-test", simulateSmall("gcc"));
+    }
+    const auto fired = fault::fired("store.index.write");
+    fault::reset();
+    EXPECT_EQ(fired, 1u);
+    EXPECT_NE(StoreIndex(dir).find("gcc-test"), nullptr);
 }
 
 TEST(ProfileStore, RemoveDeletesExactlyOneEntry)
