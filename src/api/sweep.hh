@@ -182,7 +182,7 @@ struct SweepResult
      * Suite averages at technology point @p technology: each
      * policy's energy relative to NoOverhead and its leakage share
      * (the Figure 9 axes). Requires "no-overhead" among the
-     * policies; fatal() otherwise.
+     * policies; throws std::invalid_argument otherwise.
      */
     harness::SuitePolicyAverages
     averagesAt(std::size_t technology) const;

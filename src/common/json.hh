@@ -81,8 +81,8 @@ class JsonWriter
  * Accessors throw std::invalid_argument when the value is not of the
  * requested kind, so ingestion code can surface "field X is not a
  * number" errors without manual kind checks at every site. These are
- * user-input errors, never programmer errors, hence throw rather
- * than fatal() (the same convention as sleep::PolicyRegistry).
+ * user-input errors, never programmer errors, hence
+ * std::invalid_argument (the library-wide convention).
  */
 class JsonValue
 {

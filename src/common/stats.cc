@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -90,8 +92,9 @@ Log2Histogram::Log2Histogram(std::uint64_t clamp_value)
     : clamp_(clamp_value)
 {
     if (clamp_ == 0 || (clamp_ & (clamp_ - 1)) != 0)
-        fatal("Log2Histogram clamp must be a power of two, got %llu",
-              static_cast<unsigned long long>(clamp_));
+        throw std::invalid_argument(
+            "Log2Histogram clamp must be a power of two, got " +
+            std::to_string(clamp_));
     // Buckets [1,2), [2,4), ..., [clamp/2, clamp), plus clamp bucket.
     weights_.assign(static_cast<std::size_t>(floorLog2(clamp_)) + 1, 0.0);
 }
@@ -129,7 +132,8 @@ void
 Log2Histogram::merge(const Log2Histogram &other)
 {
     if (other.clamp_ != clamp_)
-        fatal("cannot merge Log2Histograms with different clamps");
+        throw std::invalid_argument(
+            "cannot merge Log2Histograms with different clamps");
     for (std::size_t i = 0; i < weights_.size(); ++i)
         weights_[i] += other.weights_[i];
     count_ += other.count_;
@@ -161,11 +165,11 @@ Log2Histogram::fromBuckets(std::uint64_t clamp_value,
 {
     Log2Histogram out(clamp_value);
     if (weights.size() != out.weights_.size())
-        fatal("Log2Histogram::fromBuckets: %zu weights for a "
-              "%llu-clamp histogram (want %zu)",
-              weights.size(),
-              static_cast<unsigned long long>(clamp_value),
-              out.weights_.size());
+        throw std::invalid_argument(
+            "Log2Histogram::fromBuckets: " +
+            std::to_string(weights.size()) + " weights for a " +
+            std::to_string(clamp_value) + "-clamp histogram (want " +
+            std::to_string(out.weights_.size()) + ")");
     out.weights_ = std::move(weights);
     out.count_ = count;
     return out;

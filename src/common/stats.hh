@@ -100,7 +100,7 @@ class Log2Histogram
      * Reconstruct a histogram from raw bucket state (the
      * deserialization path of the profile store). @p weights must
      * have exactly the bucket count implied by @p clamp_value;
-     * fatal() otherwise.
+     * throws std::invalid_argument otherwise.
      */
     static Log2Histogram fromBuckets(std::uint64_t clamp_value,
                                      std::vector<double> weights,

@@ -1,9 +1,10 @@
 #include "replay/engine.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "sleep/controllers.hh"
 #include "sleep/policy_registry.hh"
@@ -294,7 +295,8 @@ void
 MultiPointReplay::assertUsable(const char *call) const
 {
     if (moved_from_)
-        fatal("MultiPointReplay::%s: engine was moved from", call);
+        throw std::logic_error(std::string("MultiPointReplay::") +
+                               call + ": engine was moved from");
 }
 
 std::size_t
@@ -366,7 +368,8 @@ MultiPointReplay::finalize()
 {
     assertUsable("finalize");
     if (finalized_)
-        fatal("MultiPointReplay::finalize: called twice");
+        throw std::logic_error(
+            "MultiPointReplay::finalize: called twice");
     finalized_ = true;
 
     for (Unit &unit : units_) {

@@ -159,7 +159,8 @@ class MultiPointReplay
     /**
      * Moves transfer the whole replay; the moved-from engine keeps
      * no usable state and its runTask()/runAll()/finalize() entry
-     * points fatal() instead of silently replaying emptied vectors.
+     * points throw std::logic_error instead of silently replaying
+     * emptied vectors.
      */
     MultiPointReplay(MultiPointReplay &&other) noexcept;
     MultiPointReplay &operator=(MultiPointReplay &&other) noexcept;
@@ -259,7 +260,7 @@ class MultiPointReplay
     void replayRange(sleep::SleepController &ctrl, std::size_t begin,
                      std::size_t end, bool with_active) const;
 
-    /** fatal() when this engine was moved from. */
+    /** Throws std::logic_error when this engine was moved from. */
     void assertUsable(const char *call) const;
 
     IntervalSet intervals_;

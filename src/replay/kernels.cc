@@ -1,8 +1,9 @@
 #include "replay/kernels.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
-#include "common/logging.hh"
 #include "replay/engine.hh"
 
 namespace lsim::replay::kernels
@@ -33,8 +34,9 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
 {
     using Kind = sleep::KernelSpec::Kind;
     if (spec.kind != kind_)
-        fatal("KernelBatch::addLane: spec '%s' does not match the "
-              "batch kind", spec.key().c_str());
+        throw std::logic_error("KernelBatch::addLane: spec '" +
+                               spec.key() +
+                               "' does not match the batch kind");
     switch (kind_) {
     case Kind::AlwaysActive:
     case Kind::MaxSleep:
@@ -42,7 +44,8 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
         break;
     case Kind::Gradual: {
         if (spec.slices == 0)
-            fatal("KernelBatch::addLane: gradual slice count 0");
+            throw std::logic_error(
+                "KernelBatch::addLane: gradual slice count 0");
         const double n = static_cast<double>(spec.slices);
         slices_.push_back(n);
         // Saturated-regime constants, spelled exactly like
@@ -70,15 +73,16 @@ KernelBatch::addLane(const sleep::KernelSpec &spec)
             prefix.push_back(total);
         }
         if (prefix.empty())
-            fatal("KernelBatch::addLane: weighted-gradual without "
-                  "weights");
+            throw std::logic_error("KernelBatch::addLane: "
+                                   "weighted-gradual without weights");
         prefix.back() = 1.0; // exact despite rounding, as in the ctor
         weight_sets_.push_back(spec.weights);
         prefix_sets_.push_back(std::move(prefix));
         break;
     }
     case Kind::None:
-        fatal("KernelBatch::addLane: Kind::None has no kernel");
+        throw std::logic_error(
+            "KernelBatch::addLane: Kind::None has no kernel");
     }
     return lanes_++;
 }
@@ -335,8 +339,10 @@ KernelBatch::run(const IntervalSet &set, std::size_t begin,
 {
     using Kind = sleep::KernelSpec::Kind;
     if (bank.lanes() != lanes_)
-        fatal("KernelBatch::run: bank has %zu lanes, batch %zu",
-              bank.lanes(), lanes_);
+        throw std::logic_error(
+            "KernelBatch::run: bank has " +
+            std::to_string(bank.lanes()) + " lanes, batch " +
+            std::to_string(lanes_));
     // The scalar call sequence opens with the active total (skipped
     // when zero), exactly like MultiPointReplay::replayRange.
     if (with_active && set.active_cycles > 0) {
@@ -371,7 +377,8 @@ KernelBatch::run(const IntervalSet &set, std::size_t begin,
     case Kind::None:
         break;
     }
-    fatal("KernelBatch::run: bad kind %d", static_cast<int>(kind_));
+    throw std::logic_error("KernelBatch::run: bad kind " +
+                           std::to_string(static_cast<int>(kind_)));
 }
 
 } // namespace lsim::replay::kernels

@@ -1,6 +1,7 @@
 #include "sleep/accumulator.hh"
 
-#include "common/logging.hh"
+#include <stdexcept>
+
 #include "sleep/policy_registry.hh"
 
 namespace lsim::sleep
@@ -50,7 +51,8 @@ PolicyEvaluator::PolicyEvaluator(const energy::ModelParams &params,
     : model_(params), controllers_(std::move(controllers))
 {
     if (controllers_.empty())
-        fatal("PolicyEvaluator: no controllers registered");
+        throw std::invalid_argument(
+            "PolicyEvaluator: no controllers registered");
 }
 
 PolicyEvaluator
@@ -130,7 +132,8 @@ PolicyEvaluator::resultFor(const std::string &name) const
     for (const auto &r : results())
         if (r.name == name)
             return r;
-    fatal("PolicyEvaluator: no controller named '%s'", name.c_str());
+    throw std::invalid_argument(
+        "PolicyEvaluator: no controller named '" + name + "'");
 }
 
 } // namespace lsim::sleep

@@ -108,7 +108,8 @@ class PolicyEvaluator
     /** Results for every controller, in registration order. */
     std::vector<PolicyResult> results() const;
 
-    /** Result for the controller named @p name; fatal() if absent. */
+    /** Result for the controller named @p name; throws
+     * std::invalid_argument if absent. */
     PolicyResult resultFor(const std::string &name) const;
 
     const energy::EnergyModel &model() const { return model_; }

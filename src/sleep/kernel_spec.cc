@@ -1,8 +1,9 @@
 #include "sleep/kernel_spec.hh"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
-#include "common/logging.hh"
 #include "sleep/controllers.hh"
 
 namespace lsim::sleep
@@ -41,7 +42,8 @@ KernelSpec::key() const
         return "oracle:" + std::string(buf);
     }
     }
-    fatal("KernelSpec::key: bad kind %d", static_cast<int>(kind));
+    throw std::logic_error("KernelSpec::key: bad kind " +
+                           std::to_string(static_cast<int>(kind)));
 }
 
 std::unique_ptr<SleepController>
@@ -66,8 +68,8 @@ KernelSpec::makeController() const
     case Kind::None:
         break;
     }
-    fatal("KernelSpec::makeController: '%s' has no closed form",
-          key().c_str());
+    throw std::logic_error("KernelSpec::makeController: '" + key() +
+                           "' has no closed form");
 }
 
 } // namespace lsim::sleep

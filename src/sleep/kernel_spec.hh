@@ -76,8 +76,9 @@ struct KernelSpec
 
     /**
      * A fresh controller with exactly this configuration — the
-     * chunk-replay counterpart of the prototype controller. fatal()s
-     * on Kind::None (fallback policies cannot be reconstructed).
+     * chunk-replay counterpart of the prototype controller. Throws
+     * std::logic_error on Kind::None (fallback policies cannot be
+     * reconstructed).
      */
     std::unique_ptr<SleepController> makeController() const;
 };

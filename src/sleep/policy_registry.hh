@@ -10,10 +10,10 @@
  * supplies breakeven-derived defaults (GradualSleep slice count,
  * timeout, oracle threshold).
  *
- * Unlike most of the library (which fatal()s on user error), lookup
- * failures throw std::invalid_argument: the registry sits on the
- * public API boundary where callers like the CLI want to print
- * usage and the available keys instead of dying.
+ * Like the rest of the library, lookup failures throw
+ * std::invalid_argument: the registry sits on the public API
+ * boundary where callers like the CLI want to print usage and the
+ * available keys instead of dying.
  */
 
 #ifndef LSIM_SLEEP_POLICY_REGISTRY_HH

@@ -257,17 +257,34 @@ ProfileStore::ProfileStore(std::string dir)
 
 ProfileStore::~ProfileStore()
 {
-    MutexLock lock(index_mu_);
-    flushIndexLocked();
+    flushIndex();
 }
 
 void
-ProfileStore::flushIndexLocked() const
+ProfileStore::flushIndex() const
 {
-    // A failed save keeps the flag set, so the next flush (at the
-    // latest the destructor's) retries it.
-    if (index_dirty_ && index_.save())
-        index_dirty_ = false;
+    {
+        MutexLock lock(index_mu_);
+        if (!index_.dirty())
+            return;
+    }
+    std::optional<FileLock> file_lock;
+    if (!StoreIndex::lockForFlush(dir_, &file_lock))
+        return;
+    StoreIndex::Deltas deltas;
+    {
+        MutexLock lock(index_mu_);
+        deltas = index_.takeDeltas();
+    }
+    if (deltas.empty())
+        return; // another thread flushed them while we waited
+    std::optional<StoreIndex::Image> written =
+        StoreIndex::writeMerged(dir_, deltas);
+    MutexLock lock(index_mu_);
+    if (written)
+        index_.adopt(std::move(*written));
+    else
+        index_.restore(std::move(deltas));
 }
 
 std::string
@@ -314,7 +331,7 @@ ProfileStore::quarantineLocked(const std::string &key,
         // poison pill that re-warns on every future hit.
         fs::remove(pathFor(key), ec);
     }
-    index_dirty_ |= index_.erase(key);
+    index_.erase(key);
     obs::counter("store.quarantined").add();
     warn("profile store: quarantined entry '%s' (%s)", key.c_str(),
          why.c_str());
@@ -332,10 +349,7 @@ ProfileStore::load(const std::string &key) const
         // rewrite on the hot warm-cache path; the next mutating
         // call (or the destructor) flushes.
         MutexLock lock(index_mu_);
-        if (index_.find(key)) {
-            index_.touch(key, StoreIndex::now());
-            index_dirty_ = true;
-        }
+        index_.touch(key, StoreIndex::now());
     } else if (corrupt) {
         MutexLock lock(index_mu_);
         quarantineLocked(key, "failed checksum/version on load");
@@ -381,85 +395,61 @@ ProfileStore::save(const std::string &key,
                      std::to_string(kSaveRetries) + " retries");
         return;
     }
-    MutexLock lock(index_mu_);
-    index_.put(key, indexEntryFor(sim, bytes.size(),
-                                  StoreIndex::now()));
-    index_dirty_ = true;
-    flushIndexLocked();
-}
-
-std::vector<StoreEntry>
-ProfileStore::list() const
-{
-    std::vector<StoreEntry> out;
-    for (const auto &de : fs::directory_iterator(dir_)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != kExtension)
-            continue;
-        const std::string key = de.path().stem().string();
-        bool corrupt = false;
-        if (auto sim = loadEntry(key, &corrupt)) {
-            out.push_back({key, std::move(*sim)});
-        } else if (corrupt) {
-            MutexLock lock(index_mu_);
-            quarantineLocked(key, "failed checksum/version on list");
-        }
+    {
+        MutexLock lock(index_mu_);
+        index_.put(key, indexEntryFor(sim, bytes.size(),
+                                      StoreIndex::now()));
     }
-    std::sort(out.begin(), out.end(),
-              [](const StoreEntry &a, const StoreEntry &b) {
-                  return a.key < b.key;
-              });
-    return out;
+    flushIndex();
 }
 
 std::vector<StoreSummary>
 ProfileStore::summaries() const
 {
-    MutexLock lock(index_mu_);
     std::vector<StoreSummary> out;
-    std::set<std::string> on_disk;
-    for (const auto &de : fs::directory_iterator(dir_)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != kExtension)
-            continue;
-        const std::string key = de.path().stem().string();
-        on_disk.insert(key);
-        if (const IndexEntry *indexed = index_.find(key)) {
-            out.push_back({key, *indexed});
-            continue;
+    {
+        MutexLock lock(index_mu_);
+        std::set<std::string> on_disk;
+        for (const auto &de : fs::directory_iterator(dir_)) {
+            if (!de.is_regular_file() ||
+                de.path().extension() != kExtension)
+                continue;
+            const std::string key = de.path().stem().string();
+            on_disk.insert(key);
+            if (const IndexEntry *indexed = index_.find(key)) {
+                out.push_back({key, *indexed});
+                continue;
+            }
+            // Unindexed (pre-index store, or a lost concurrent-writer
+            // race): one full read adopts it into the index.
+            bool corrupt = false;
+            const auto sim = loadEntry(key, &corrupt);
+            if (!sim) {
+                if (corrupt)
+                    quarantineLocked(
+                        key, "failed checksum/version on summaries");
+                continue; // unreadable; loadEntry() warned
+            }
+            std::error_code ec;
+            const std::uint64_t bytes = de.file_size(ec);
+            auto mtime = fs::last_write_time(de.path(), ec);
+            const double touched =
+                ec ? StoreIndex::now() : mtimeToUnixSeconds(mtime);
+            IndexEntry entry = indexEntryFor(*sim, bytes, touched);
+            index_.put(key, entry);
+            out.push_back({key, std::move(entry)});
         }
-        // Unindexed (pre-index store, or a lost concurrent-writer
-        // race): one full read adopts it into the index.
-        bool corrupt = false;
-        const auto sim = loadEntry(key, &corrupt);
-        if (!sim) {
-            if (corrupt)
-                quarantineLocked(
-                    key, "failed checksum/version on summaries");
-            continue; // unreadable; loadEntry() warned
+        // Drop index rows whose file vanished (rm/gc by another
+        // process, manual deletion).
+        for (auto it = index_.entries().begin();
+             it != index_.entries().end();) {
+            const std::string key = it->first;
+            ++it;
+            if (on_disk.find(key) == on_disk.end())
+                index_.erase(key);
         }
-        std::error_code ec;
-        const std::uint64_t bytes = de.file_size(ec);
-        auto mtime = fs::last_write_time(de.path(), ec);
-        const double touched =
-            ec ? StoreIndex::now() : mtimeToUnixSeconds(mtime);
-        IndexEntry entry = indexEntryFor(*sim, bytes, touched);
-        index_.put(key, entry);
-        index_dirty_ = true;
-        out.push_back({key, std::move(entry)});
     }
-    // Drop index rows whose file vanished (rm/gc by another
-    // process, manual deletion).
-    for (auto it = index_.entries().begin();
-         it != index_.entries().end();) {
-        const std::string key = it->first;
-        ++it;
-        if (on_disk.find(key) == on_disk.end()) {
-            index_.erase(key);
-            index_dirty_ = true;
-        }
-    }
-    flushIndexLocked();
+    flushIndex();
     std::sort(out.begin(), out.end(),
               [](const StoreSummary &a, const StoreSummary &b) {
                   return a.key < b.key;
@@ -472,9 +462,11 @@ ProfileStore::remove(const std::string &key) const
 {
     std::error_code ec;
     const bool removed = fs::remove(pathFor(key), ec) && !ec;
-    MutexLock lock(index_mu_);
-    index_dirty_ |= index_.erase(key);
-    flushIndexLocked();
+    {
+        MutexLock lock(index_mu_);
+        index_.erase(key);
+    }
+    flushIndex();
     return removed;
 }
 
@@ -490,74 +482,76 @@ ProfileStore::gc(const GcOptions &options) const
     };
     std::vector<Candidate> entries;
     GcStats stats;
-    MutexLock lock(index_mu_);
-    for (const auto &de : fs::directory_iterator(dir_)) {
-        if (!de.is_regular_file() ||
-            de.path().extension() != kExtension)
-            continue;
-        Candidate c;
-        c.path = de.path();
-        c.key = de.path().stem().string();
-        if (const IndexEntry *indexed = index_.find(c.key)) {
-            // Index rows carry the LRU signal (loads touch them,
-            // mtime never moves on reads) and spare the stat().
-            c.touched = indexed->touched;
-            c.bytes = indexed->bytes;
-        } else {
-            std::error_code ec;
-            const auto mtime = fs::last_write_time(c.path, ec);
-            if (!ec)
-                c.bytes = de.file_size(ec);
-            if (ec) {
-                // Age unknown is not "old": keep the entry and
-                // report it rather than letting a default mtime
-                // make it first in line for eviction.
-                stats.stat_errors += 1;
+    {
+        MutexLock lock(index_mu_);
+        for (const auto &de : fs::directory_iterator(dir_)) {
+            if (!de.is_regular_file() ||
+                de.path().extension() != kExtension)
                 continue;
+            Candidate c;
+            c.path = de.path();
+            c.key = de.path().stem().string();
+            if (const IndexEntry *indexed = index_.find(c.key)) {
+                // Index rows carry the LRU signal (loads touch them,
+                // mtime never moves on reads) and spare the stat().
+                c.touched = indexed->touched;
+                c.bytes = indexed->bytes;
+            } else {
+                std::error_code ec;
+                const auto mtime = fs::last_write_time(c.path, ec);
+                if (!ec)
+                    c.bytes = de.file_size(ec);
+                if (ec) {
+                    // Age unknown is not "old": keep the entry and
+                    // report it rather than letting a default mtime
+                    // make it first in line for eviction.
+                    stats.stat_errors += 1;
+                    continue;
+                }
+                c.touched = mtimeToUnixSeconds(mtime);
             }
-            c.touched = mtimeToUnixSeconds(mtime);
+            stats.scanned += 1;
+            stats.bytes_before += c.bytes;
+            entries.push_back(std::move(c));
         }
-        stats.scanned += 1;
-        stats.bytes_before += c.bytes;
-        entries.push_back(std::move(c));
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  return a.touched < b.touched; // coldest first
-              });
+        std::sort(entries.begin(), entries.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      return a.touched < b.touched; // coldest first
+                  });
 
-    stats.bytes_after = stats.bytes_before;
-    const double now = StoreIndex::now();
-    const auto evict = [&](const Candidate &c) {
-        std::error_code ec;
-        const bool removed = fs::remove(c.path, ec);
-        if (ec)
-            return; // unremovable: conservatively keep counting it
-        // Gone either way — we removed it, or a concurrent gc beat
-        // us to it; only the former counts as our eviction, but the
-        // bytes left the store in both cases.
-        stats.bytes_after -= c.bytes;
-        index_dirty_ |= index_.erase(c.key);
-        if (removed)
-            stats.removed += 1;
-    };
-    std::size_t kept_from = 0;
-    if (options.max_age_seconds) {
-        while (kept_from < entries.size() &&
-               now - entries[kept_from].touched >
-                   *options.max_age_seconds) {
-            evict(entries[kept_from]);
-            ++kept_from;
+        stats.bytes_after = stats.bytes_before;
+        const double now = StoreIndex::now();
+        const auto evict = [&](const Candidate &c) {
+            std::error_code ec;
+            const bool removed = fs::remove(c.path, ec);
+            if (ec)
+                return; // unremovable: conservatively keep counting it
+            // Gone either way — we removed it, or a concurrent gc beat
+            // us to it; only the former counts as our eviction, but the
+            // bytes left the store in both cases.
+            stats.bytes_after -= c.bytes;
+            index_.erase(c.key);
+            if (removed)
+                stats.removed += 1;
+        };
+        std::size_t kept_from = 0;
+        if (options.max_age_seconds) {
+            while (kept_from < entries.size() &&
+                   now - entries[kept_from].touched >
+                       *options.max_age_seconds) {
+                evict(entries[kept_from]);
+                ++kept_from;
+            }
+        }
+        if (options.max_bytes) {
+            while (kept_from < entries.size() &&
+                   stats.bytes_after > *options.max_bytes) {
+                evict(entries[kept_from]);
+                ++kept_from;
+            }
         }
     }
-    if (options.max_bytes) {
-        while (kept_from < entries.size() &&
-               stats.bytes_after > *options.max_bytes) {
-            evict(entries[kept_from]);
-            ++kept_from;
-        }
-    }
-    flushIndexLocked();
+    flushIndex();
     return stats;
 }
 

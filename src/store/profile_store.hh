@@ -87,13 +87,6 @@ void hashWorkloadProfile(Fnv1a &h, const trace::WorkloadProfile &p);
 void hashCoreConfig(Fnv1a &h, const cpu::CoreConfig &c);
 /** @} */
 
-/** One store entry as listed by ProfileStore::list(). */
-struct StoreEntry
-{
-    std::string key;  ///< filename stem (name + fingerprint)
-    harness::WorkloadSim sim;
-};
-
 /** One summary row as listed by ProfileStore::summaries(). */
 struct StoreSummary
 {
@@ -161,9 +154,6 @@ class ProfileStore
     {
         return degraded_.load(std::memory_order_relaxed);
     }
-
-    /** All readable entries, sorted by key; unreadable files warn. */
-    std::vector<StoreEntry> list() const;
 
     /**
      * One summary row per entry, sorted by key, served from the
@@ -241,8 +231,16 @@ class ProfileStore
     /** Flip into compute-without-cache mode (first call warns). */
     void markDegraded(const std::string &why) const;
 
-    /** Persist the index iff a deferred update is pending. */
-    void flushIndexLocked() const REQUIRES(index_mu_);
+    /**
+     * Persist the index iff deltas are pending, holding index_mu_
+     * only around StoreIndex's in-memory flush steps: a load() hit
+     * never queues behind a contended index.lock. The flock is
+     * taken before the deltas, so this process's flushes reach the
+     * disk in the order their deltas were recorded. A failed write
+     * leaves them pending for the next flush (at the latest the
+     * destructor's).
+     */
+    void flushIndex() const EXCLUDES(index_mu_);
 
     std::string dir_;
 
@@ -253,7 +251,6 @@ class ProfileStore
      * bearing, not documentation. */
     mutable Mutex index_mu_;
     mutable StoreIndex index_ GUARDED_BY(index_mu_);
-    mutable bool index_dirty_ GUARDED_BY(index_mu_) = false;
 
     /** Compute-without-cache switch; atomic so pool threads read it
      * without the index lock. */

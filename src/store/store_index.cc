@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/backoff.hh"
 #include "common/fault.hh"
@@ -78,23 +79,22 @@ entryFromJson(const JsonValue &v)
     return {key, entry};
 }
 
-} // namespace
-
-StoreIndex::StoreIndex(std::string dir)
-    : dir_(std::move(dir))
+std::string
+indexPath(const std::string &dir)
 {
-    loadDisk(&entries_, &generation_);
+    return (fs::path(dir) / StoreIndex::kFileName).string();
 }
 
-void
-StoreIndex::loadDisk(std::map<std::string, IndexEntry> *entries,
-                     std::uint64_t *generation) const
+/** Parse @p dir's index.json. A missing file is an empty image;
+ * malformed content warns and yields one. */
+StoreIndex::Image
+readImage(const std::string &dir)
 {
-    entries->clear();
-    *generation = 0;
-    std::ifstream in(path(), std::ios::binary);
+    StoreIndex::Image image;
+    const std::string path = indexPath(dir);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
-        return; // no index yet: empty, rebuilt lazily
+        return image; // no index yet: empty, rebuilt lazily
     std::ostringstream ss;
     ss << in.rdbuf();
     try {
@@ -106,34 +106,53 @@ StoreIndex::loadDisk(std::map<std::string, IndexEntry> *entries,
                 "unsupported index version " +
                 std::to_string(version));
         if (const JsonValue *gen = doc.find("generation"))
-            *generation = gen->asU64();
+            image.generation = gen->asU64();
         for (const JsonValue &row : doc.at("entries").items())
-            entries->insert(entryFromJson(row));
+            image.entries.insert(entryFromJson(row));
     } catch (const std::invalid_argument &err) {
-        warn("profile store: ignoring index '%s': %s",
-             path().c_str(), err.what());
-        entries->clear();
-        *generation = 0;
+        warn("profile store: ignoring index '%s': %s", path.c_str(),
+             err.what());
+        image = {};
+    }
+    return image;
+}
+
+/** Apply @p deltas to @p entries in key order. */
+void
+applyDeltas(std::map<std::string, IndexEntry> &entries,
+            const StoreIndex::Deltas &deltas)
+{
+    for (const auto &[key, p] : deltas) {
+        if (p.erased) {
+            entries.erase(key);
+            continue;
+        }
+        if (p.has_entry) {
+            entries[key] = p.entry;
+        } else if (p.has_touch) {
+            // A touch asserts the entry's last-use time outright
+            // (backdating included — tests and tools rely on it);
+            // concurrent touches resolve to whichever flush runs
+            // last, which only perturbs LRU order approximately.
+            const auto it = entries.find(key);
+            if (it != entries.end())
+                it->second.touched = p.touched;
+        }
     }
 }
 
-std::string
-StoreIndex::path() const
-{
-    return (fs::path(dir_) / kFileName).string();
-}
+} // namespace
 
-std::string
-StoreIndex::lockPath() const
+StoreIndex::StoreIndex(std::string dir)
+    : dir_(std::move(dir)), image_(readImage(dir_))
 {
-    return (fs::path(dir_) / kLockFileName).string();
 }
 
 const IndexEntry *
 StoreIndex::find(const std::string &key) const
 {
-    const auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = image_.entries.find(key);
+    return it == image_.entries.end() ? nullptr : &it->second;
 }
 
 void
@@ -144,14 +163,14 @@ StoreIndex::put(const std::string &key, IndexEntry entry)
     p.has_entry = true;
     p.entry = entry;
     p.has_touch = false;
-    entries_[key] = std::move(entry);
+    image_.entries[key] = std::move(entry);
 }
 
 void
 StoreIndex::touch(const std::string &key, double when)
 {
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
+    const auto it = image_.entries.find(key);
+    if (it == image_.entries.end())
         return;
     it->second.touched = when;
     Pending &p = pending_[key];
@@ -166,7 +185,7 @@ StoreIndex::touch(const std::string &key, double when)
 bool
 StoreIndex::erase(const std::string &key)
 {
-    const bool existed = entries_.erase(key) > 0;
+    const bool existed = image_.entries.erase(key) > 0;
     Pending &p = pending_[key];
     p = Pending{};
     p.erased = true;
@@ -176,71 +195,80 @@ StoreIndex::erase(const std::string &key)
 bool
 StoreIndex::save()
 {
+    std::optional<FileLock> lock;
+    if (!lockForFlush(dir_, &lock))
+        return false;
+    Deltas deltas = takeDeltas();
+    std::optional<Image> written = writeMerged(dir_, deltas);
+    if (!written) {
+        restore(std::move(deltas));
+        return false;
+    }
+    adopt(std::move(*written));
+    return true;
+}
+
+bool
+StoreIndex::lockForFlush(const std::string &dir,
+                         std::optional<FileLock> *lock)
+{
     // A directory removed under a live store can take no flush:
     // the lock file can never be created, so backing off on it
     // only delays the inevitable failed write. Say so once.
     std::error_code ec;
-    if (!fs::is_directory(dir_, ec)) {
+    if (!fs::is_directory(dir, ec)) {
         static std::atomic<bool> logged{false};
         if (!logged.exchange(true))
             warn("profile store: directory '%s' is gone; dropping "
                  "its index flush (logged once per process)",
-                 dir_.c_str());
+                 dir.c_str());
         return false;
     }
 
     // Serialize flushes across every process (and instance) sharing
     // the directory; within the lock the cycle is read-merge-write,
     // so no writer ever overwrites another's updates.
-    auto lock = acquireIndexLock(lockPath());
-    std::map<std::string, IndexEntry> merged;
-    std::uint64_t disk_generation = 0;
-    if (lock) {
-        loadDisk(&merged, &disk_generation);
-    } else {
-        // Degraded mode: we could not serialize, so fall back to
-        // writing our local view (the pre-protocol behavior). The
-        // index is an accelerator — a lost concurrent update is
-        // re-derived on demand, never wrong. Loud once per process,
-        // counted always: silent last-writer-wins hid real
-        // contention problems.
+    const std::string path = (fs::path(dir) / kLockFileName).string();
+    *lock = acquireIndexLock(path);
+    if (!*lock) {
+        // Degraded mode: the flush still merges into the disk image
+        // but cannot serialize, so a flush racing between our read
+        // and our rename is lost. The index is an accelerator — a
+        // lost update is re-derived on demand, never wrong. Loud
+        // once per process, counted always: silent last-writer-wins
+        // hid real contention problems.
         static std::atomic<bool> logged{false};
         if (!logged.exchange(true))
             warn("profile store: index lock '%s' timed out after "
-                 "%u attempt(s); flushing last-writer-wins (logged "
-                 "once per process; see store.lock_timeouts)",
-                 lockPath().c_str(), kLockRetries + 1);
+                 "%u attempt(s); flushing unserialized, last-writer-"
+                 "wins (logged once per process; see "
+                 "store.lock_timeouts)",
+                 path.c_str(), kLockRetries + 1);
         obs::counter("store.lock_timeouts").add();
-        merged = entries_;
-        disk_generation = generation_;
     }
+    return true;
+}
 
-    for (const auto &[key, p] : pending_) {
-        if (p.erased) {
-            merged.erase(key);
-            continue;
-        }
-        if (p.has_entry) {
-            merged[key] = p.entry;
-        } else if (p.has_touch) {
-            // A touch asserts the entry's last-use time outright
-            // (backdating included — tests and tools rely on it);
-            // concurrent touches resolve to whichever flush runs
-            // last, which only perturbs LRU order approximately.
-            const auto it = merged.find(key);
-            if (it != merged.end())
-                it->second.touched = p.touched;
-        }
-    }
+StoreIndex::Deltas
+StoreIndex::takeDeltas()
+{
+    return std::exchange(pending_, {});
+}
 
-    const std::uint64_t generation = disk_generation + 1;
+std::optional<StoreIndex::Image>
+StoreIndex::writeMerged(const std::string &dir, const Deltas &deltas)
+{
+    Image image = readImage(dir);
+    applyDeltas(image.entries, deltas);
+    image.generation += 1;
+
     std::ostringstream ss;
     JsonWriter w(ss);
     w.beginObject();
     w.field("version", static_cast<std::uint64_t>(kIndexVersion));
-    w.field("generation", generation);
+    w.field("generation", image.generation);
     w.beginArray("entries");
-    for (const auto &[key, entry] : merged) {
+    for (const auto &[key, entry] : image.entries) {
         w.beginObject();
         w.field("key", key);
         w.field("bytes", entry.bytes);
@@ -257,16 +285,44 @@ StoreIndex::save()
     w.endObject();
     ss << "\n";
     if (LSIM_FAULT("store.index.write") ||
-        !atomicWriteFile(path(), ss.str()))
-        return false;
+        !atomicWriteFile(indexPath(dir), ss.str()))
+        return std::nullopt;
+    return image;
+}
 
-    // Adopt the merged image: entries other writers added become
-    // visible to this instance, and the pending deltas are now on
-    // disk.
-    entries_ = std::move(merged);
-    generation_ = generation;
-    pending_.clear();
-    return true;
+void
+StoreIndex::adopt(Image written)
+{
+    // Entries other writers added become visible to this instance;
+    // what was recorded during the write is not on disk yet, so it
+    // stays pending and stays visible.
+    image_ = std::move(written);
+    applyDeltas(image_.entries, pending_);
+}
+
+void
+StoreIndex::restore(Deltas taken)
+{
+    // The taken deltas are the older ones: a newer delta on the
+    // same key applies on top, exactly as the mutation calls fold.
+    for (auto &[key, older] : taken) {
+        const auto newer = pending_.find(key);
+        if (newer == pending_.end()) {
+            pending_.emplace(key, std::move(older));
+            continue;
+        }
+        Pending &p = newer->second;
+        if (p.erased || p.has_entry)
+            continue; // the newer delta replaces the older outright
+        // A newer touch folds into the older delta as touch() would.
+        if (older.has_entry) {
+            older.entry.touched = p.touched;
+        } else if (!older.erased) {
+            older.has_touch = true;
+            older.touched = p.touched;
+        }
+        p = std::move(older);
+    }
 }
 
 double

@@ -33,9 +33,17 @@
  * other writers since our load are preserved instead of clobbered,
  * and the generation counter increments by exactly one per flush —
  * a cheap cross-process consistency probe. A v1 index (no
- * generation) loads as generation 0; if the lock cannot be acquired
- * within a timeout the flush degrades to the historical
- * last-writer-wins write rather than blocking the caller forever.
+ * generation) loads as generation 0. If the lock cannot be acquired
+ * within a timeout, the flush runs the same read-merge-write without
+ * it rather than blocking the caller forever: rows other writers
+ * flushed survive, but one racing flush can still be lost
+ * (last-writer-wins between the read and the rename).
+ *
+ * Within one process, an instance shared between threads sits
+ * behind its owner's mutex (ProfileStore::index_mu_). save() is
+ * split into flush steps so that owner holds the mutex only for the
+ * in-memory steps (takeDeltas, adopt, restore), never across the
+ * lock wait or the file I/O (lockForFlush, writeMerged).
  */
 
 #ifndef LSIM_STORE_STORE_INDEX_HH
@@ -43,7 +51,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+
+#include "common/files.hh"
 
 namespace lsim::store
 {
@@ -75,6 +86,28 @@ class StoreIndex
     /** flock(2) sentinel guarding the reload-merge-bump flush. */
     static constexpr const char *kLockFileName = "index.lock";
 
+    /** One key's unflushed local mutations, in application order:
+     * an erase cancels a put and vice versa; touches fold into a
+     * pending put or ride along as a timestamp override. */
+    struct Pending
+    {
+        bool erased = false;
+        bool has_entry = false;
+        IndexEntry entry;
+        bool has_touch = false;
+        double touched = 0.0;
+    };
+
+    /** Unflushed deltas by key. */
+    using Deltas = std::map<std::string, Pending>;
+
+    /** The rows and generation stamp of one index file. */
+    struct Image
+    {
+        std::map<std::string, IndexEntry> entries;
+        std::uint64_t generation = 0;
+    };
+
     /**
      * Load the index of @p dir. A missing, unreadable, or malformed
      * index file yields an empty index (after a warn() for the
@@ -84,7 +117,7 @@ class StoreIndex
 
     const std::map<std::string, IndexEntry> &entries() const
     {
-        return entries_;
+        return image_.entries;
     }
 
     /** Entry under @p key, or nullptr. */
@@ -107,42 +140,65 @@ class StoreIndex
      * writers flushed), bump the generation, and install
      * atomically. The in-memory view is replaced by the merged
      * image, so concurrent writers' entries become visible here too.
+     * Runs every flush step below in order; a failed write keeps
+     * the deltas pending for the next save().
      */
     bool save();
 
+    /**
+     * @name Flush steps
+     * save() in four steps. The static ones wait and do file I/O
+     * but touch no instance state (see the file comment).
+     * @{
+     */
+
+    /**
+     * Step 1: take @p dir's index.lock, retrying with backoff.
+     * @return false when the directory is gone: no flush can
+     * succeed, so none is attempted (warned once per process).
+     * Otherwise @p lock holds the flock, or stays empty after the
+     * lock timed out (warned once, `store.lock_timeouts` counted):
+     * the flush then runs degraded, unserialized.
+     */
+    static bool lockForFlush(const std::string &dir,
+                             std::optional<FileLock> *lock);
+
+    /** True while deltas await a flush. */
+    bool dirty() const { return !pending_.empty(); }
+
+    /** Step 2: move the pending deltas out of the index. */
+    Deltas takeDeltas();
+
+    /**
+     * Step 3: read @p dir's index file, apply @p deltas to it, and
+     * install the result with the generation bumped by one.
+     * @return the written image, or std::nullopt when the write
+     * failed.
+     */
+    static std::optional<Image> writeMerged(const std::string &dir,
+                                            const Deltas &deltas);
+
+    /** Step 4 after a write: adopt @p written as the in-memory
+     * view, with the deltas recorded since takeDeltas() re-applied
+     * on top (they stay pending). */
+    void adopt(Image written);
+
+    /** Step 4 after a failed write: make @p taken pending again,
+     * under the deltas recorded since takeDeltas(). */
+    void restore(Deltas taken);
+
+    /** @} */
+
     /** Generation stamp of the last image read or written. */
-    std::uint64_t generation() const { return generation_; }
+    std::uint64_t generation() const { return image_.generation; }
 
     /** Current unix time in seconds (the `touched` clock). */
     static double now();
 
-    const std::string &dir() const { return dir_; }
-
   private:
-    /** One key's unflushed local mutations, in application order:
-     * an erase cancels a put and vice versa; touches fold into a
-     * pending put or ride along as a timestamp override. */
-    struct Pending
-    {
-        bool erased = false;
-        bool has_entry = false;
-        IndexEntry entry;
-        bool has_touch = false;
-        double touched = 0.0;
-    };
-
-    std::string path() const;
-    std::string lockPath() const;
-
-    /** Parse <dir>/index.json into @p entries / @p generation.
-     * Malformed content warns and yields an empty image. */
-    void loadDisk(std::map<std::string, IndexEntry> *entries,
-                  std::uint64_t *generation) const;
-
     std::string dir_;
-    std::map<std::string, IndexEntry> entries_;
-    std::map<std::string, Pending> pending_;
-    std::uint64_t generation_ = 0;
+    Image image_;
+    Deltas pending_;
 };
 
 } // namespace lsim::store

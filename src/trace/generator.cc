@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -223,8 +225,9 @@ TraceGenerator::buildProgram()
         static_cast<unsigned>(total * profile_.call_fraction));
     num_normal_ = total - funcs;
     if (num_normal_ < 2)
-        fatal("profile %s: too few normal blocks (%u)",
-              profile_.name.c_str(), num_normal_);
+        throw std::invalid_argument(
+            "profile " + profile_.name + ": too few normal blocks (" +
+            std::to_string(num_normal_) + ")");
 
     // Mean body length so that terminators make up frac_branch of
     // the dynamic stream: B = (1 - f) / f.

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "energy/policy_model.hh"
+#include "expect_throw.hh"
 #include "sleep/accumulator.hh"
 
 namespace
@@ -147,15 +150,15 @@ TEST(PolicyEvaluator, LeakageFractionGrowsWithP)
 
 TEST(PolicyEvaluatorDeath, EmptyControllerSet)
 {
-    EXPECT_EXIT(PolicyEvaluator(params(), {}),
-                ::testing::ExitedWithCode(1), "no controllers");
+    EXPECT_THROW_WITH(PolicyEvaluator(params(), {}),
+                      std::invalid_argument, "no controllers");
 }
 
 TEST(PolicyEvaluatorDeath, UnknownName)
 {
     auto eval = PolicyEvaluator::paperPolicies(params());
-    EXPECT_EXIT((void)eval.resultFor("Nonexistent"),
-                ::testing::ExitedWithCode(1), "no controller named");
+    EXPECT_THROW_WITH((void)eval.resultFor("Nonexistent"),
+                      std::invalid_argument, "no controller named");
 }
 
 } // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cpu/bpred.hh"
+#include "expect_throw.hh"
 
 namespace
 {
@@ -166,12 +169,12 @@ TEST(BpredDeath, ConfigValidation)
 {
     BpredConfig bad;
     bad.bimodal_entries = 1000; // not a power of two
-    EXPECT_EXIT(BranchPredictor bp(bad),
-                ::testing::ExitedWithCode(1), "power of two");
+    EXPECT_THROW_WITH(BranchPredictor bp(bad), std::invalid_argument,
+                      "power of two");
     BpredConfig bad2;
     bad2.hist_bits = 0;
-    EXPECT_EXIT(BranchPredictor bp2(bad2),
-                ::testing::ExitedWithCode(1), "history bits");
+    EXPECT_THROW_WITH(BranchPredictor bp2(bad2), std::invalid_argument,
+                      "history bits");
 }
 
 } // namespace

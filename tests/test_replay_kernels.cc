@@ -12,12 +12,14 @@
 
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "api/experiment.hh"
 #include "api/sweep.hh"
 #include "energy/breakeven.hh"
+#include "expect_throw.hh"
 #include "harness/experiment.hh"
 #include "replay/engine.hh"
 #include "sleep/controllers.hh"
@@ -346,9 +348,11 @@ TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
 
     // ...and the moved-from shell refuses every entry point instead
     // of silently replaying emptied vectors.
-    EXPECT_DEATH(source.runTask(0), "moved from");
-    EXPECT_DEATH(source.runAll(), "moved from");
-    EXPECT_DEATH((void)source.finalize(), "moved from");
+    EXPECT_THROW_WITH(source.runTask(0), std::logic_error,
+                      "moved from");
+    EXPECT_THROW_WITH(source.runAll(), std::logic_error, "moved from");
+    EXPECT_THROW_WITH((void)source.finalize(), std::logic_error,
+                      "moved from");
 
     // Move assignment leaves the right-hand side equally inert.
     replay::MultiPointReplay other(
@@ -356,7 +360,7 @@ TEST(ReplayKernels, MovedFromEngineRefusesToReplay)
     replay::MultiPointReplay target(
         replay::IntervalSet::fromProfile(idle), points, {});
     target = std::move(other);
-    EXPECT_DEATH(other.runAll(), "moved from");
+    EXPECT_THROW_WITH(other.runAll(), std::logic_error, "moved from");
     target.runAll();
     (void)target.finalize();
 }

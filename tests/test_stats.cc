@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/stats.hh"
+#include "expect_throw.hh"
 
 namespace
 {
@@ -162,8 +164,8 @@ TEST(Log2Histogram, MergeAndNormalize)
 
 TEST(Log2HistogramDeath, BadClamp)
 {
-    EXPECT_EXIT(Log2Histogram h(100),
-                ::testing::ExitedWithCode(1), "power of two");
+    EXPECT_THROW_WITH(Log2Histogram h(100), std::invalid_argument,
+                      "power of two");
 }
 
 class Log2HistogramClampTest

@@ -20,6 +20,7 @@
 #include "api/experiment.hh"
 #include "api/sweep.hh"
 #include "common/fault.hh"
+#include "common/files.hh"
 #include "obs/metrics.hh"
 #include "store/profile_store.hh"
 #include "store/serialize.hh"
@@ -182,9 +183,9 @@ TEST(ProfileStore, SaveLoadRoundTrip)
 
     EXPECT_FALSE(db.load("no-such-key").has_value());
 
-    const auto entries = db.list();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].key, "gcc-test");
+    const auto rows = db.summaries();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].key, "gcc-test");
 }
 
 TEST(ProfileStore, FlushIntoAVanishedDirectoryFailsFast)
@@ -221,6 +222,36 @@ TEST(ProfileStore, FailedIndexFlushIsRetriedOnDestruction)
     EXPECT_NE(StoreIndex(dir).find("gcc-test"), nullptr);
 }
 
+TEST(ProfileStore, HitDoesNotWaitBehindAContendedIndexFlush)
+{
+    // Another daemon holds index.lock (a separate open file
+    // description conflicts with the store's flock even in one
+    // process), so a save's index flush waits it out. A load() hit
+    // only touches the in-memory index and must not queue behind
+    // that wait.
+    const std::string dir = freshDir("contended_flush");
+    const auto sim = simulateSmall("gcc");
+    const ProfileStore db(dir);
+    db.save("hot", sim);
+
+    auto held = FileLock::acquire(
+        (fs::path(dir) / StoreIndex::kLockFileName).string(), 1000);
+    ASSERT_TRUE(held.has_value());
+    std::thread saver([&] { db.save("cold", sim); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(db.load("hot").has_value());
+    const std::chrono::duration<double> waited =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(waited.count(), 1.0);
+    held.reset();
+    saver.join();
+
+    const StoreIndex on_disk(dir);
+    EXPECT_NE(on_disk.find("hot"), nullptr);
+    EXPECT_NE(on_disk.find("cold"), nullptr);
+}
+
 TEST(ProfileStore, RemoveDeletesExactlyOneEntry)
 {
     const std::string dir = freshDir("remove");
@@ -234,7 +265,7 @@ TEST(ProfileStore, RemoveDeletesExactlyOneEntry)
     EXPECT_FALSE(db.remove("absent")); // never existed
     EXPECT_FALSE(db.load("drop").has_value());
     ASSERT_TRUE(db.load("keep").has_value());
-    EXPECT_EQ(db.list().size(), 1u);
+    EXPECT_EQ(db.summaries().size(), 1u);
 }
 
 /** Backdate @p key's index touch-time by @p seconds (as a restarted
@@ -332,7 +363,7 @@ TEST(ProfileStore, GcEvictsLeastRecentlyUsedFirstUntilUnderBudget)
     const auto wipe = db.gc(options);
     EXPECT_EQ(wipe.removed, 2u);
     EXPECT_EQ(wipe.bytes_after, 0u);
-    EXPECT_TRUE(db.list().empty());
+    EXPECT_TRUE(db.summaries().empty());
 }
 
 TEST(ProfileStore, LoadRefreshesTheLruSignal)
@@ -924,6 +955,27 @@ TEST(StoreIndex, ErasePropagatesThroughTheMerge)
     EXPECT_NE(merged.find("keep"), nullptr);
     EXPECT_NE(merged.find("new"), nullptr);
     EXPECT_EQ(merged.generation(), 3u);
+}
+
+TEST(StoreIndex, DegradedSaveKeepsOtherWritersRows)
+{
+    const std::string dir = freshDir("index_degraded");
+    StoreIndex a(dir);
+    StoreIndex b(dir);
+    a.put("x", namedEntry("x"));
+    ASSERT_TRUE(a.save());
+    // b never saw x, and its flush cannot take index.lock. The
+    // unserialized flush must still merge into the disk image
+    // rather than install b's stale view over it.
+    fault::configure("store.index.lock");
+    b.put("y", namedEntry("y"));
+    const bool saved = b.save();
+    fault::reset();
+    EXPECT_TRUE(saved);
+
+    const StoreIndex merged(dir);
+    EXPECT_NE(merged.find("x"), nullptr);
+    EXPECT_NE(merged.find("y"), nullptr);
 }
 
 TEST(StoreIndex, ConcurrentStoreFlushesNeverLoseEntries)

@@ -50,7 +50,8 @@ TEST(Csv, WritesAndEscapes)
 {
     const std::string path = ::testing::TempDir() + "/lsim_test.csv";
     {
-        CsvWriter w(path);
+        std::ofstream file(path);
+        CsvWriter w(file);
         w.writeRow({"plain", "with,comma", "with\"quote"});
         ASSERT_TRUE(w.good());
     }
@@ -59,12 +60,6 @@ TEST(Csv, WritesAndEscapes)
     std::getline(in, line);
     EXPECT_EQ(line, "plain,\"with,comma\",\"with\"\"quote\"");
     std::remove(path.c_str());
-}
-
-TEST(CsvDeath, BadPathFatal)
-{
-    EXPECT_EXIT(CsvWriter w("/nonexistent-dir/x/y.csv"),
-                ::testing::ExitedWithCode(1), "cannot open");
 }
 
 } // namespace

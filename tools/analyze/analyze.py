@@ -25,16 +25,14 @@ Checks:
                        out a GUARDED_BY member without a REQUIRES
                        contract.
 
-Deliberate debt (today: the store holds index_mu_ across the on-disk
-index merge, by design) lives in tools/analyze/allowlist.txt with the
-same ratchet semantics as lint_allowlist.txt: counts may only burn
-down, and shrinking them demands --update so the new floor is locked
-in. Any new edge fails the build.
+Every finding fails the run; there is no allowlist. A design that
+needs a blocking call under a mutex is changed instead (the profile
+store drops index_mu_ before its index flush takes index.lock).
 
 Usage:
-  tools/analyze/analyze.py               analyze src/ against the allowlist
+  tools/analyze/analyze.py               analyze src/; exit 1 on any finding
+  tools/analyze/analyze.py --root DIR    analyze DIR instead of src/
   tools/analyze/analyze.py --json OUT    also dump the lock graph + findings
-  tools/analyze/analyze.py --update      rewrite the allowlist after burn-down
   tools/analyze/analyze.py --selftest    run against tests/analyze_fixtures/
                                          and require exactly the planted
                                          EXPECT-FINDING defects
@@ -52,7 +50,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 SRC_DIR = REPO / "src"
 FIXTURE_DIR = REPO / "tests" / "analyze_fixtures"
-ALLOWLIST = Path(__file__).resolve().parent / "allowlist.txt"
 
 # The files that *define* the locking primitives describe, not use,
 # the discipline.
@@ -1310,37 +1307,6 @@ def analyze_tree(root, rel_prefix, files=None):
     return model, acq, blk, edges
 
 
-def load_allowlist(path):
-    limits = {}
-    if not path.exists():
-        return limits
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            key, count = line.rsplit(None, 1)
-            limits[key] = int(count)
-        except ValueError:
-            print("analyze: malformed allowlist line: %r" % raw,
-                  file=sys.stderr)
-            sys.exit(2)
-    return limits
-
-
-def save_allowlist(path, counts):
-    lines = [
-        "# tools/analyze allowlist — grandfathered concurrency findings.",
-        "# Format: <finding key> <count>. Counts may only go down;",
-        "# refresh with tools/analyze/analyze.py --update after burning",
-        "# an entry down. New keys or higher counts fail the build.",
-        "",
-    ]
-    for key in sorted(counts):
-        lines.append("%s %d" % (key, counts[key]))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def report_json(path, model, acq, edges):
     doc = {
         "locks": sorted({l for (a, b) in edges for l in (a, b)} |
@@ -1414,12 +1380,10 @@ def main(argv):
     ap.add_argument("--json", metavar="PATH",
                     help="write the lock graph + findings as JSON "
                          "('-' for stdout)")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the allowlist with current counts")
     ap.add_argument("--selftest", action="store_true",
                     help="run against tests/analyze_fixtures/")
     ap.add_argument("--root", metavar="DIR",
-                    help="analyze DIR instead of src/ (no allowlist)")
+                    help="analyze DIR instead of src/")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -1437,49 +1401,14 @@ def main(argv):
             print("edge: %s -> %s  (%s:%d via %s)"
                   % (a, b, e["file"], e["line"], " -> ".join(e["chain"])))
 
-    counts = {}
-    by_key = {}
-    for f in model.findings:
-        counts[f.key] = counts.get(f.key, 0) + 1
-        by_key.setdefault(f.key, []).append(f)
-
-    if args.root:
+    if model.findings:
         for f in model.findings:
             print("[%s] %s" % (f.rule, f.message))
-        return 1 if model.findings else 0
-
-    limits = load_allowlist(ALLOWLIST)
-    failed = False
-    for key in sorted(counts):
-        have = counts[key]
-        limit = limits.get(key, 0)
-        if have > limit:
-            failed = True
-            print("analyze: %s: %d finding(s), allowlist permits %d"
-                  % (key, have, limit), file=sys.stderr)
-            for f in by_key[key][:8]:
-                print("  " + f.message, file=sys.stderr)
-    for key in sorted(limits):
-        have = counts.get(key, 0)
-        if have < limits[key]:
-            if args.update:
-                continue
-            failed = True
-            print("analyze: %s: improved to %d (allowlist says %d) — "
-                  "run tools/analyze/analyze.py --update to lock it in"
-                  % (key, have, limits[key]), file=sys.stderr)
-
-    if args.update:
-        save_allowlist(ALLOWLIST, counts)
-        print("analyze: allowlist updated (%d keys)" % len(counts))
-        return 0
-
-    if failed:
+        print("analyze: %d finding(s)" % len(model.findings))
         return 1
     n_defs = sum(1 for ds in model.funcs.values() for d in ds if d.body)
-    print("analyze: ok (%d functions, %d lock-order edges, "
-          "%d allowlisted finding(s))"
-          % (n_defs, len(edges), sum(counts.values())))
+    print("analyze: ok (%d functions, %d lock-order edges, 0 findings)"
+          % (n_defs, len(edges)))
     return 0
 
 

@@ -17,11 +17,9 @@ otherwise live only in comments and review memory:
 
   no-fatal        Library code under src/ reports errors by throwing;
                   process-exiting fatal()/die() belong to the CLI and
-                  benches, where there is no caller to recover. The
-                  existing call sites are grandfathered in
-                  tools/lint_allowlist.txt, a burn-down ratchet whose
-                  per-file counts may only decrease (run with
-                  --update after converting a site to an exception).
+                  benches, where there is no caller to recover. Any
+                  call under src/ outside common/logging (which
+                  defines fatal()) is a violation.
 
   no-raw-mutex    Library code locks through the annotated
                   lsim::Mutex / MutexLock / CondVar wrappers
@@ -76,7 +74,6 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-ALLOWLIST = REPO / "tools" / "lint_allowlist.txt"
 
 SRC_EXTS = {".cc", ".hh", ".h", ".cpp"}
 
@@ -175,8 +172,14 @@ class Linter:
 
     # -------------------------------------------------- rule: no-fatal
 
-    def count_fatal(self, code):
-        return len(re.findall(r"\b(?:fatal|die)\s*\(", code))
+    def check_no_fatal(self, path, code):
+        for m in re.finditer(r"\b(?:fatal|die)\s*\(", code):
+            self.report(
+                path, line_of(code, m.start()), "no-fatal",
+                "fatal()/die() in library code: report the error by "
+                "throwing (std::invalid_argument for bad input, "
+                "std::logic_error for API misuse); the CLI catches "
+                "and exits")
 
     # --------------------------------------------- rule: no-raw-mutex
 
@@ -360,51 +363,13 @@ class Linter:
                     "from the caller")
 
 
-# --------------------------------------------------------- allowlist
-
-
-def load_allowlist():
-    allowed = {}
-    if not ALLOWLIST.exists():
-        return allowed
-    for raw in ALLOWLIST.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, _, count = line.rpartition(" ")
-        allowed[name.strip()] = int(count)
-    return allowed
-
-
-def save_allowlist(counts):
-    lines = [
-        "# fatal()/die() call sites still present in library code",
-        "# (src/). Library errors are reported by throwing; these",
-        "# sites predate that rule and are being burned down —",
-        "# tools/lint.py fails if any count grows, and requires this",
-        "# file to be refreshed (lint.py --update) when one shrinks,",
-        "# so the totals are monotonically decreasing.",
-        "#",
-        "# <path> <call sites>",
-    ]
-    for name in sorted(counts):
-        lines.append(f"{name} {counts[name]}")
-    ALLOWLIST.write_text("\n".join(lines) + "\n")
-
-
 # --------------------------------------------------------------- main
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite the no-fatal allowlist from current counts "
-        "(only ever lowers the ratchet; growth still fails)")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     linter = Linter()
-    fatal_counts = {}
 
     for path in sorted(REPO.glob("src/**/*")):
         if path.suffix not in SRC_EXTS:
@@ -417,9 +382,7 @@ def main():
             linter.check_atomic_write(path, code)
         linter.check_snapshot_write(path, code, text)
         if not rel.startswith("src/common/logging"):
-            count = linter.count_fatal(code)
-            if count:
-                fatal_counts[rel] = count
+            linter.check_no_fatal(path, code)
         linter.check_signal_safety(path, code)
         if rel != "src/common/mutex.hh":
             linter.check_raw_mutex(path, code)
@@ -443,40 +406,12 @@ def main():
         if path.suffix in (".hh", ".h"):
             linter.check_include_guard(path, code, text)
 
-    # The ratchet: counts may only ever shrink. --update locks a
-    # shrink in; growth is a violation either way (bootstrap — no
-    # allowlist yet — being the one exception).
-    bootstrap = not ALLOWLIST.exists()
-    allowed = load_allowlist()
-    for rel in sorted(set(fatal_counts) | set(allowed)):
-        have = fatal_counts.get(rel, 0)
-        limit = allowed.get(rel, 0)
-        if have > limit and not bootstrap:
-            linter.violations.append(
-                f"{rel}: [no-fatal] {have} fatal()/die() call "
-                f"site(s), allowlist permits {limit}: library code "
-                "reports errors by throwing (see serve/spec.hh for "
-                "the pattern); the CLI catches and exits")
-        elif have < limit and not args.update:
-            linter.violations.append(
-                f"{rel}: [no-fatal] allowlist says {limit} but only "
-                f"{have} call site(s) remain — nice burn-down; run "
-                "'tools/lint.py --update' to lock in the lower count")
-
-    if args.update and not linter.violations:
-        save_allowlist(fatal_counts)
-        print(f"lint: allowlist refreshed "
-              f"({sum(fatal_counts.values())} fatal()/die() sites "
-              f"across {len(fatal_counts)} files)")
-
     if linter.violations:
         for v in linter.violations:
             print(v)
         print(f"lint: {len(linter.violations)} violation(s)")
         return 1
-    total = sum(fatal_counts.values())
-    print(f"lint: clean ({total} grandfathered fatal()/die() sites "
-          "remaining)")
+    print("lint: clean")
     return 0
 
 
